@@ -70,4 +70,5 @@ class UnsupportedKind(QuadTowerError):
 
 
 class StructureMismatch(QuadTowerError):
-    """Computed class group structure contradicts the expected shape."""
+    """A computed structure contradicts the expected shape: a class group,
+    or a subgroup series or derived-subgroup certificate in a finite group."""

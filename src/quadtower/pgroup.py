@@ -2,9 +2,12 @@
 transfer, quotient, and fingerprint machinery.
 
 Elements are 5-exponent normal forms a1^e1 a2^e2 a3^e3 c12^f1 c13^f2, with
-multiplication by collection.  Subgroups are explicit element sets; quotients
-are coset-table groups; all operations are exact and exhaustive at the orders
-this toolkit targets (<= 2^16).
+multiplication by collection.  A subgroup is its member set together with a
+generating set of at most log2 of its order elements; derived and Frattini
+subgroups and lower central terms are normal closures of a few commutators
+and squares of those generators.  Quotients are coset-table groups.  All
+operations are exact and exhaustive; PGroup refuses orders above 2^16
+(MAX_ORDER_LOG2) with BoundExceeded before building any element.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import (
+    BoundExceeded,
     ElementOutsideK,
     GroupMismatch,
     IndexNotTwo,
@@ -22,10 +26,14 @@ from .errors import (
     NonAbelianQuotient,
     NotNormal,
     RankMismatch,
+    StructureMismatch,
 )
 from .quadforms import AbelianType, abelian_type_from_counts
 
 Element = tuple[int, int, int, int, int]
+
+# Largest group order, as a power of 2, that PGroup will materialise.
+MAX_ORDER_LOG2 = 16
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,11 @@ class PGroup:
     def __init__(self, params: GroupParams):
         self.params = params
         n, m, eps = params.n, params.m, params.eps
+        log2 = n + m + 3 if params.family == "Gamma" else n + 4
+        if log2 > MAX_ORDER_LOG2:
+            raise BoundExceeded(
+                f"group order 2^{log2} exceeds the 2^{MAX_ORDER_LOG2} limit"
+            )
         self.e3_mod = 1 << n
         if params.family == "Gamma":
             self.f2_mod = 1 << m
@@ -204,10 +217,6 @@ class TableGroup:
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
 
 
-def make_group(params: GroupParams) -> PGroup:
-    return PGroup(params)
-
-
 def gamma(n: int, m: int, eps: int) -> PGroup:
     return PGroup(GroupParams(n, m, eps))
 
@@ -259,38 +268,62 @@ def whole_group(group) -> Subgroup:
     return Subgroup(group, frozenset(group.elements()), tuple(group.gens()))
 
 
+def _generated(group, seeds, conj_gens=()) -> Subgroup:
+    """The subgroup generated by `seeds` and closed under conjugation by
+    `conj_gens` (the normal closure when they generate the ambient group).
+    A seed or conjugate becomes a generator, and the span is re-closed, only
+    when it falls outside the span so far; each one at least doubles the
+    span, so there are at most log2 of the order generators."""
+    conj_by = [(group.inv(y), y) for y in conj_gens]
+    gens = []
+    span = frozenset({group.identity})
+    todo = list(seeds)
+    while todo:
+        x = todo.pop()
+        if x in span:
+            continue
+        gens.append(x)
+        span = closure(group, gens)
+        todo.extend(group.mul(group.mul(yi, x), y) for yi, y in conj_by)
+    return Subgroup(group, span, tuple(gens))
+
+
 def derived_subgroup(h: Subgroup) -> Subgroup:
-    """Commutator subgroup of h, generated by commutators of its elements
-    with its generators; certified by a normality and commutativity check."""
+    """Commutator subgroup of h: the normal closure in h of the commutators
+    of its generators (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 3.3), certified by a normality and commutativity check."""
     g = h.group
-    gens = h.generators or list(h.elements)
-    comms = {g.comm(x, y) for x in h.elements for y in gens}
-    comms.discard(g.identity)
-    der = subgroup(g, sorted(comms))
+    gens = h.generators or _generated(g, h.elements).generators
+    comms = [g.comm(x, y) for x, y in itertools.combinations(gens, 2)]
+    der = _generated(g, comms, gens)
     # Certificate that der really is [h, h]: der must be normal in h and
     # h/der abelian; together with der <= [h,h] this forces equality.
     for x in der.generators:
         for y in gens:
             if g.mul(g.mul(g.inv(y), x), y) not in der.elements:
-                raise AssertionError("derived subgroup candidate not normal")
+                raise StructureMismatch("derived subgroup candidate not normal")
     for x in gens:
         for y in gens:
             if g.comm(x, y) not in der.elements:
-                raise AssertionError("quotient by derived candidate not abelian")
+                raise StructureMismatch("quotient by derived candidate not abelian")
     return der
 
 
 def frattini_subgroup(h: Subgroup) -> Subgroup:
-    """Frattini subgroup of a 2-group: the subgroup generated by squares."""
+    """Frattini subgroup of a 2-group, h^2 [h, h]: the normal closure of the
+    squares and pairwise commutators of h's generators."""
     g = h.group
-    return subgroup(g, sorted({g.mul(x, x) for x in h.elements}))
+    gens = h.generators or _generated(g, h.elements).generators
+    seeds = [g.mul(x, x) for x in gens]
+    seeds += [g.comm(x, y) for x, y in itertools.combinations(gens, 2)]
+    return _generated(g, seeds, gens)
 
 
 def centre(group) -> Subgroup:
     els = group.elements()
     gens = group.gens()
     cen = [x for x in els if all(group.mul(x, g) == group.mul(g, x) for g in gens)]
-    return Subgroup(group, frozenset(cen), tuple(cen))
+    return _generated(group, cen)
 
 
 def element_order(group, x) -> int:
@@ -303,19 +336,19 @@ def element_order(group, x) -> int:
 
 
 def lower_central_series(group) -> list[Subgroup]:
-    """G_1 >= G_2 >= ... down to the trivial subgroup."""
+    """G_1 >= G_2 >= ... down to the trivial subgroup; G_(i+1) = [G_i, G] is
+    the normal closure of the commutators of generators of G_i and G."""
     gens = group.gens()
     series = [whole_group(group)]
     while True:
         cur = series[-1]
-        nxt = subgroup(
-            group, sorted({group.comm(x, g) for x in cur.elements for g in gens})
-        )
+        comms = [group.comm(x, g) for x in cur.generators for g in gens]
+        nxt = _generated(group, comms, gens)
         series.append(nxt)
         if nxt.order == 1:
             return series
         if nxt.order == cur.order:  # pragma: no cover - nilpotent groups only
-            raise AssertionError("lower central series does not terminate")
+            raise StructureMismatch("lower central series does not terminate")
 
 
 def abelian_type_of(h: Subgroup, modulo: Subgroup | None = None) -> AbelianType:
@@ -397,7 +430,7 @@ def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
         members = frozenset(
             x for x in h.elements if bin(coords[coset_of[x]] & w).count("1") % 2 == 0
         )
-        out.append(Subgroup(g, members, tuple(sorted(members))))
+        out.append(_generated(g, members))
     return out
 
 
@@ -493,9 +526,8 @@ def transfer_kernel(K: Subgroup, H: Subgroup):
 
 
 def in_transfer_kernel(K: Subgroup, H: Subgroup, x) -> bool:
-    g = K.group
-    hprime = derived_subgroup(H)
-    return transfer(K, H, x) == frozenset(hprime.elements)
+    """Whether t_{K,H}(xK') is the trivial coset H', i.e. contains 1."""
+    return K.group.identity in transfer(K, H, x)
 
 
 # ---------------------------------------------------------------------------

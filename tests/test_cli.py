@@ -7,6 +7,7 @@ import json
 import pytest
 
 from quadtower.cli import CSV_COLUMNS, main
+from quadtower.pgroup import PGroup
 
 
 def run(capsys, *argv):
@@ -114,6 +115,17 @@ def test_input_error_exit1(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "scan", "-1", "-10")
     assert code == 1
+
+
+def test_group_order_limit_exit1(capsys, monkeypatch):
+    def build(self):
+        raise AssertionError("group elements built despite the order limit")
+
+    monkeypatch.setattr(PGroup, "elements", build)
+    code, out, err = run(capsys, "group", "14", "2", "0")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
 
 
 def test_usage_error_exit1(capsys):

@@ -1,8 +1,13 @@
 """The finite 2-group engine: collection, subgroups, transfers, invariants."""
 
+import hashlib
+import itertools
+
 import pytest
 
+from quadtower.cli import main
 from quadtower.errors import (
+    BoundExceeded,
     ElementOutsideK,
     GroupMismatch,
     IndexNotTwo,
@@ -46,6 +51,15 @@ def test_params_validation():
         GroupParams(2, 2, 1, family="Gamma5")
     with pytest.raises(InvalidParams):
         GroupParams(2, 2, 1, family="Gamma4r")
+
+
+def test_order_limit():
+    assert gamma(12, 1, 0).order == 1 << 16
+    assert gamma4r(12).order == 1 << 16
+    with pytest.raises(BoundExceeded):
+        gamma(14, 2, 0)
+    with pytest.raises(BoundExceeded):
+        gamma4r(13)
 
 
 def test_orders():
@@ -197,3 +211,77 @@ def test_verify_presentation_clean():
         report = verify_presentation(g, seed=1)
         assert report["failures"] == [], report
         assert report["seed"] == 1
+
+
+def _small_groups():
+    """Gamma_{n,m,eps} for n + m <= 4, Gamma_2^(4r), and the two order-64
+    quotients Gamma_{1,2,eps}/G_4 that criterion 6 separates."""
+    groups = [
+        gamma(n, m, eps)
+        for n in range(1, 4)
+        for m in range(1, 5 - n)
+        for eps in (0, 1)
+    ]
+    for eps in (0, 1):
+        g = gamma(1, 2, eps)
+        groups.append(quotient_group(g, lower_central_series(g)[3]))
+    return groups + [gamma4r(2)]
+
+
+def _commutators_of_all_pairs(sub):
+    g = sub.group
+    return {g.comm(x, y) for x, y in itertools.combinations(sub.elements, 2)}
+
+
+def _assert_small_generating_set(sub):
+    assert closure(sub.group, sub.generators) == sub.elements
+    assert 1 << len(sub.generators) <= sub.order
+
+
+def test_subgroups_against_definitions():
+    for g in _small_groups():
+        top = whole_group(g)
+        subs = maximal_subgroups(top) + [s for s, _ in subgroups_of_index4(g)]
+        for sub in subs:
+            _assert_small_generating_set(sub)
+            der = derived_subgroup(sub)
+            _assert_small_generating_set(der)
+            assert der.elements == closure(g, _commutators_of_all_pairs(sub))
+        phi = frattini_subgroup(top)
+        _assert_small_generating_set(phi)
+        assert phi.elements == closure(g, {g.mul(x, x) for x in top.elements})
+        _assert_small_generating_set(centre(g))
+        series = lower_central_series(g)
+        for cur, nxt in zip(series, series[1:]):
+            _assert_small_generating_set(nxt)
+            expected = {g.comm(x, y) for x in cur.elements for y in top.elements}
+            assert nxt.elements == closure(g, expected)
+
+
+# sha256 of `quadtower --format json group n m eps --report fingerprint` for
+# the 14 inputs of the fingerprint-groups benchmark workload: a change to the
+# subgroup machinery must leave these outputs byte-identical.
+FINGERPRINT_SHA256 = {
+    (1, 3, 0): "7406ecfa4d85d5bd2325a812c720db9b40d48f160cbd2545a81b9af9526a376a",
+    (1, 3, 1): "2cff42c314087d8c36263146cffb8f670c9d3c07ce4894da4f013fc98cae8909",
+    (2, 2, 0): "24523a2ad58883d120ee09076267a2213e8a279fd69caa6943471bac1fa61e1d",
+    (2, 2, 1): "bf4a6e661862e6ad6fac7d28db1228285cfeed78da9810753ea778da92ee46ee",
+    (3, 1, 0): "c25e113b4fd816d656a939cb82bd38f3dbb07f7c98a214c9d70bf6800994f13d",
+    (3, 1, 1): "8eca1226eb0bc5ba8d2e6fceeaeab0ab9ce5ac3fc8222ed5bffc33a10542dad4",
+    (1, 4, 0): "ce74e39be0826d4c4ce996f43ced78dcae48fc17e553e423a8519e8a691e2d49",
+    (1, 4, 1): "b325df0389250e552a05fb4eecf2f6660e46ebc02c0a370cab62d7d01e2e3527",
+    (2, 3, 0): "b1160399a1b2fddff44b60a82cb5041c11c57d7370e7c8db2df1bbb9ed1dd588",
+    (2, 3, 1): "8ac4bda0ca676d1bab0b3d716a8a1dc020659e7fdf1e2385243d5487b4a0c8dc",
+    (3, 2, 0): "3626d0119792846ef8dbce37b89b03332215c4e74c20e3c75c006e234292e837",
+    (3, 2, 1): "18d9084b0683884ab3eaf982b38392f37d1133da6b688013e9a3f19331a62bc1",
+    (4, 1, 0): "5e7b97db2faf484c7e35bc26d06232d56f0f88dcb137ea7265c0bd67bce85a54",
+    (4, 1, 1): "b59dadf6f804561645a20c9d70e16b41082734610e138663c1506b5268d77c6a",
+}
+
+
+@pytest.mark.parametrize("n,m,eps", sorted(FINGERPRINT_SHA256))
+def test_fingerprint_json_unchanged(capsys, n, m, eps):
+    argv = ["--format", "json", "group", str(n), str(m), str(eps)]
+    assert main(argv + ["--report", "fingerprint"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FINGERPRINT_SHA256[n, m, eps]
