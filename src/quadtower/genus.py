@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import PrimeDiscriminant, kronecker, prime_discriminants
-from .errors import DiscriminantMismatch, NotFundamental, PreconditionViolated
+from .errors import (
+    BoundExceeded,
+    DiscriminantMismatch,
+    NotFundamental,
+    PreconditionViolated,
+)
 from .quadforms import (
     DEFAULT_ENUM_BOUND,
     QuadForm,
@@ -38,10 +43,15 @@ class GenusCharacterValue:
             raise ValueError(f"character value must be +-1, got {self.value}")
 
 
+# Largest |x|, |y| searched for a value coprime to the discriminant.  Class
+# representatives with |d| <= 20000 need at most 8.
+_VALUE_BOX = 64
+
+
 def _coprime_positive_value(f: QuadForm, modulus: int) -> int:
     """A positive value of f at coprime (x, y), itself coprime to modulus."""
     box = 2
-    while True:
+    while box <= _VALUE_BOX:
         for x in range(-box, box + 1):
             for y in range(-box, box + 1):
                 if gcd(x, y) != 1:
@@ -50,6 +60,9 @@ def _coprime_positive_value(f: QuadForm, modulus: int) -> int:
                 if v > 0 and gcd(v, modulus) == 1:
                     return v
         box *= 2
+    raise BoundExceeded(
+        f"{f} has no positive value coprime to {modulus} for |x|, |y| <= {_VALUE_BOX}"
+    )
 
 
 def chi_eval(d: int, d_i: PrimeDiscriminant | int, f: QuadForm) -> int:
@@ -86,8 +99,8 @@ def square_2torsion(
     """
     group = class_group(d, bound)
     one = reduce_form(principal_form(d))
-    squares = {reduce_form(compose(f, f)) for f in group.classes}
-    torsion = {f for f in group.classes if reduce_form(compose(f, f)) == one}
+    squares = {compose(f, f) for f in group.classes}
+    torsion = {f for f in group.classes if compose(f, f) == one}
     return sorted(squares & torsion)
 
 

@@ -365,7 +365,9 @@ def abelian_type_of(h: Subgroup, modulo: Subgroup | None = None) -> AbelianType:
             if g.mul(g.mul(g.inv(x), y), x) not in nset:
                 raise NotNormal("modulo is not normal in the subgroup")
     reps = coset_reps(g, nelems, nset)
-    for x, y in itertools.combinations(reps, 2):
+    # With modulo normal in h, h/modulo is abelian iff h's generators commute
+    # modulo it.
+    for x, y in itertools.combinations(h.generators or reps, 2):
         if g.comm(x, y) not in nset:
             raise NonAbelianQuotient("quotient is not abelian")
     # counts[j] = number of cosets xN with x^(2^j) in N.

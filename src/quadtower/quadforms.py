@@ -9,7 +9,7 @@ arithmetic on fundamental discriminants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import factor, is_fundamental
 from .errors import (
@@ -18,6 +18,7 @@ from .errors import (
     InertPrime,
     NotFundamental,
     SquareDiscriminant,
+    StructureMismatch,
 )
 from . import arith
 
@@ -196,49 +197,52 @@ def _cycle(d: int, f: QuadForm) -> list[QuadForm]:
 # Composition (negative and positive discriminants alike)
 # ---------------------------------------------------------------------------
 
-def _coprime_representation(f: QuadForm, modulus: int) -> QuadForm:
-    """Equivalent form whose leading coefficient is coprime to modulus."""
-    if gcd(f.a, modulus) == 1:
-        return f
-    box = 1
-    while box <= 64:
-        for x in range(-box, box + 1):
-            for y in range(-box, box + 1):
-                if gcd(x, y) != 1:
-                    continue
-                v = f.value(x, y)
-                if v != 0 and gcd(v, modulus) == 1:
-                    # Extend (x, y) to a unimodular matrix.
-                    _, u, w = _ext_gcd(x, y)
-                    return f.transform(x, -w, y, u)
-        box *= 2
-    raise ArithmeticError("no coprime represented value found")  # pragma: no cover
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
 
 
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """Gauss composition; returns a reduced representative of the product class."""
+    """Gauss composition; returns a reduced representative of the product class.
+
+    Direct gcd composition (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 5.4.7) with the form of smaller |a| first.  For d > 0 the
+    result is the reduced form that rho-reduction reaches, one form of the
+    product's cycle.
+    """
     d = f.disc
     if d != g.disc:
         raise DiscriminantMismatch(f"{f.disc} != {g.disc}")
-    g2 = _coprime_representation(g, 2 * f.a)
-    a1, b1 = f.a, f.b
-    a2, b2 = g2.a, g2.b
-    # Concordant forms: B == b1 mod 2 a1, B == b2 mod 2 a2, gcd(a1, a2) = 1.
-    m1, m2 = 2 * a1, 2 * a2
-    gg, u, _ = _ext_gcd(m1 // 2, m2 // 2)
-    assert gg == 1
-    # CRT for moduli 2 a1 and 2 a2 sharing the factor 2 (b1, b2 same parity).
-    k = ((b2 - b1) // 2 * u) % a2
-    B = b1 + m1 * k
-    a3 = a1 * a2
-    return reduce_form(QuadForm(a3, B, (B * B - d) // (4 * a3)))
+    if abs(f.a) > abs(g.a):
+        f, g = g, f
+    a1, a2, b2, c2 = f.a, g.a, g.b, g.c
+    s = (f.b + b2) // 2
+    n = b2 - s
+    # e = gcd(a1, a2) = y1*a2 + (.)*a1, then d1 = gcd(s, e) = x2*s - y2*e.
+    if a2 % a1 == 0:
+        y1, e = 0, a1
+    else:
+        e, y1, _ = _xgcd(a2, a1)
+    if s % e == 0:
+        x2, y2, d1 = 0, -1, e
+    else:
+        d1, x2, y2 = _xgcd(s, e)
+        y2 = -y2
+    v1 = a1 // d1
+    v2 = a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    b3 = b2 + 2 * v2 * r
+    a3 = v1 * v2
+    h = QuadForm(a3, b3, (b3 * b3 - d) // (4 * a3))
+    return _reduce_definite(h) if d < 0 else reduce_form(h)
 
 
 def form_pow(f: QuadForm, k: int) -> QuadForm:
@@ -279,21 +283,25 @@ class ClassGroup:
 
 
 def _reduced_definite_forms(d: int) -> list[QuadForm]:
+    """Reduced forms of discriminant d < 0, sorted by (a, b).
+
+    Only b >= 0 is searched: (a, -b, c) is reduced with (a, b, c) unless
+    b = 0, b = a or a = c.
+    """
     out = []
     amax = isqrt(-d // 3)
     for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - d) % 2:
-                continue
+        a4 = 4 * a
+        row = []
+        for b in range(d & 1, a + 1, 2):
             num = b * b - d
-            if num % (4 * a):
+            if num % a4:
                 continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            out.append(QuadForm(a, b, c))
+            c = num // a4
+            if c >= a:
+                row.append((b, c))
+        out.extend(QuadForm(a, -b, c) for b, c in reversed(row) if 0 < b < a != c)
+        out.extend(QuadForm(a, b, c) for b, c in row)
     return out
 
 
@@ -306,7 +314,6 @@ def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
         prod4 = d - b * b  # = -4ac > 0
         if prod4 == 0:
             continue
-        assert prod4 % 4 == 0
         prod = prod4 // 4  # = -ac = |a| |c|
         for aa in _divisors(prod):
             if (2 * aa + b) ** 2 > d and (2 * aa - b) ** 2 < d:
@@ -328,16 +335,38 @@ def _divisors(n: int) -> list[int]:
 
 
 def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
+    """Invariant factors of the 2-Sylow subgroup of the class group.
+
+    Walks `classes` in order and raises each to the odd part of h; a power
+    outside the span so far extends it by its cyclic subgroup, until the span
+    has h2 = h / odd elements.  The type then comes from counting elements
+    killed by successive squarings over the span.
+    """
     h = len(classes)
     odd = h
     while odd % 2 == 0:
         odd //= 2
-    ident = reduce_form(principal_form(d))
-    sylow = {form_pow(f, odd) for f in classes}
+    h2 = h // odd
+    ident = _reduce_definite(principal_form(d))
+    sylow = [ident]
+    span = {ident}
+    for f in classes:
+        if len(sylow) == h2:
+            break
+        x = form_pow(f, odd)
+        if x in span:
+            continue
+        coset = sylow
+        while True:
+            coset = [compose(x, y) for y in coset]
+            if coset[0] in span:
+                break
+            sylow.extend(coset)
+        span = set(sylow)
     # counts[j] = #{x in Sylow_2 : x^(2^j) = 1}
     counts = [1]
-    cur = list(sylow)
-    while counts[-1] < len(sylow):
+    cur = sylow
+    while counts[-1] < h2:
         cur = [compose(g, g) for g in cur]
         counts.append(sum(1 for g in cur if g == ident))
     return abelian_type_from_counts(counts)
@@ -419,7 +448,8 @@ def fundamental_unit(d: int) -> Unit:
             break
     t = abs(m11 + m22)
     u = abs(m21)
-    assert t * t - d * u * u == 4
+    if t * t - d * u * u != 4:
+        raise StructureMismatch(f"automorph trace {t} of discriminant {d} gives no unit")
     x = isqrt(t - 2) if t >= 2 else 0
     if x > 0 and x * x == t - 2 and u % x == 0:
         y = u // x

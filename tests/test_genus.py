@@ -3,7 +3,7 @@
 import pytest
 
 from quadtower.arith import PrimeDiscriminant, is_prime, kronecker, prime_discriminants
-from quadtower.errors import DiscriminantMismatch, PreconditionViolated
+from quadtower.errors import BoundExceeded, DiscriminantMismatch, PreconditionViolated
 from quadtower.genus import all_characters, chi_eval, lemma1_check, square_2torsion
 from quadtower.quadforms import (
     QuadForm,
@@ -60,6 +60,13 @@ def test_chi_product_is_one_on_every_class():
 def test_chi_errors():
     with pytest.raises(DiscriminantMismatch):
         chi_eval(-2244, PrimeDiscriminant(-4), principal_form(-68))
+
+
+def test_chi_search_is_bounded():
+    # A negative definite form takes no positive value: the value search
+    # stops at its box instead of running forever.
+    with pytest.raises(BoundExceeded):
+        chi_eval(-3, -3, QuadForm(-1, 1, -1))
 
 
 def test_square_2torsion_examples():

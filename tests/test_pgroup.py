@@ -151,6 +151,27 @@ def test_abelian_type_errors():
         quotient_group(g, h)
 
 
+def test_abelian_check_over_generators_matches_all_pairs():
+    # h/N is abelian iff every pair of elements of h commutes modulo N.
+    for n, m, eps in ((1, 1, 0), (1, 2, 1), (2, 1, 0)):
+        g = gamma(n, m, eps)
+        whole = whole_group(g)
+        normals = [subgroup(g, [])] + lower_central_series(g)
+        for h in [whole] + maximal_subgroups(whole):
+            for nrm in normals:
+                if not nrm.elements <= h.elements:
+                    continue
+                abelian = all(
+                    g.comm(x, y) in nrm.elements
+                    for x, y in itertools.combinations(sorted(h.elements), 2)
+                )
+                if abelian:
+                    assert abelian_type_of(h, nrm).order == h.order // nrm.order
+                else:
+                    with pytest.raises(NonAbelianQuotient):
+                        abelian_type_of(h, nrm)
+
+
 def test_generic_vs_standard_maximal_subgroups():
     for n, m, eps in ((2, 2, 0), (2, 2, 1)):
         g = gamma(n, m, eps)

@@ -1,7 +1,11 @@
 """Binary quadratic forms: reduction, composition, class groups, units."""
 
+import random
+from math import gcd, isqrt
+
 import pytest
 
+from quadtower.arith import is_fundamental, kronecker, prime_discriminants
 from quadtower.errors import (
     DiscriminantMismatch,
     InertPrime,
@@ -10,6 +14,9 @@ from quadtower.errors import (
 from quadtower.quadforms import (
     AbelianType,
     QuadForm,
+    _cycle,
+    _is_reduced_indef,
+    _reduced_definite_forms,
     abelian_type_from_counts,
     class_group,
     compose,
@@ -99,8 +106,6 @@ def test_prime_form():
         try:
             f = prime_form(d, ell)
         except InertPrime:
-            from quadtower.arith import kronecker
-
             assert kronecker(d, ell) == -1
             continue
         assert f.a == ell and f.disc == d
@@ -147,3 +152,105 @@ def test_indefinite_narrow_class_count():
     expected = {5: 1, 8: 1, 12: 2, 204: 4, 561: 4, 136: 4}
     for d, h in expected.items():
         assert len(class_group(d).classes) == h, d
+
+
+# ---------------------------------------------------------------------------
+# compose, the 2-Sylow and the reduced-form list against independent references
+# ---------------------------------------------------------------------------
+
+def _fundamentals(lo, hi):
+    return [d for d in range(lo, hi + 1) if d not in (0, 1) and is_fundamental(d)]
+
+
+def _coprime_equivalent(f, m):
+    """A form equivalent to f whose leading coefficient f(x, y) is coprime to m."""
+    for box in range(1, 65):
+        for x in range(-box, box + 1):
+            for y in range(-box, box + 1):
+                if gcd(x, y) == 1 and gcd(f.value(x, y), m) == 1:
+                    # Complete (x, y) to [[x, p], [y, q]] with x q - y p = 1.
+                    if y == 0:
+                        p, q = 0, x
+                    else:
+                        q = pow(x, -1, abs(y))
+                        p = (x * q - 1) // y
+                    return f.transform(x, p, y, q)
+    raise AssertionError(f"no value of {f} coprime to {m}")
+
+
+def _dirichlet_compose(f, g):
+    """Dirichlet composition: move g to a leading coefficient coprime to
+    2 f.a, then solve B = f.b mod 2 f.a, B = g.b mod 2 g.a by CRT."""
+    d = f.disc
+    if gcd(g.a, 2 * f.a) != 1:
+        g = _coprime_equivalent(g, 2 * f.a)
+    a2 = abs(g.a)
+    k = ((g.b - f.b) // 2 * pow(f.a, -1, a2)) % a2
+    b = f.b + 2 * f.a * k
+    a3 = f.a * g.a
+    return reduce_form(QuadForm(a3, b, (b * b - d) // (4 * a3)))
+
+
+def _is_reduced_definite(f):
+    return -f.a < f.b <= f.a <= f.c and not (f.b < 0 and f.a == f.c)
+
+
+def test_compose_matches_dirichlet_all_pairs():
+    for d in _fundamentals(-3000, -3):
+        classes = class_group(d).classes
+        for f in classes:
+            for g in classes:
+                assert compose(f, g) == _dirichlet_compose(f, g), (d, f, g)
+
+
+@pytest.mark.parametrize("d", [-19991, -329988, -1886244])
+def test_compose_matches_dirichlet_sampled(d):
+    classes = class_group(d).classes
+    rng = random.Random(d)
+    for _ in range(2000):
+        f, g = rng.choice(classes), rng.choice(classes)
+        assert compose(f, g) == _dirichlet_compose(f, g), (f, g)
+
+
+def test_compose_unreduced_prime_forms():
+    primes = [ell for ell in range(2, 60) if all(ell % q for q in range(2, isqrt(ell) + 1))]
+    for d in (-2244, -2580, -5412, -19991, -329988):
+        forms = [prime_form(d, ell) for ell in primes if kronecker(d, ell) != -1]
+        # Translates x -> x + y are unreduced, whatever prime_form returns.
+        forms += [f.transform(1, 1, 0, 1) for f in forms]
+        for f in forms:
+            for g in forms:
+                h = compose(f, g)
+                assert _is_reduced_definite(h) and h.disc == d
+                assert h == _dirichlet_compose(f, g), (d, f, g)
+
+
+def test_compose_real_lands_in_reference_cycle():
+    for d in _fundamentals(5, 3000):
+        classes = class_group(d).classes
+        for f in classes:
+            for g in classes:
+                h = compose(f, g)
+                assert _is_reduced_indef(d, h)
+                assert h in _cycle(d, _dirichlet_compose(f, g)), (d, f, g)
+
+
+def test_sylow2_matches_genus_theory():
+    for d in _fundamentals(-5000, -3):
+        g = class_group(d)
+        h2 = g.h & -g.h
+        assert g.abelian_type.order == h2, d
+        assert len(g.abelian_type.parts) == len(prime_discriminants(d)) - 1, d
+
+
+def test_reduced_definite_forms_match_double_loop():
+    for d in _fundamentals(-5000, -3):
+        naive = []
+        for a in range(1, isqrt(-d // 3) + 1):
+            for b in range(-a + 1, a + 1):
+                num = b * b - d
+                if num % (4 * a) == 0:
+                    f = QuadForm(a, b, num // (4 * a))
+                    if _is_reduced_definite(f):
+                        naive.append(f)
+        assert _reduced_definite_forms(d) == naive, d
