@@ -20,6 +20,7 @@ from .errors import (
 )
 from .quadforms import (
     DEFAULT_ENUM_BOUND,
+    ClassGroup,
     QuadForm,
     class_group,
     compose,
@@ -90,14 +91,18 @@ def all_characters(d: int, f: QuadForm) -> tuple[GenusCharacterValue, ...]:
 
 
 def square_2torsion(
-    d: int, bound: int = DEFAULT_ENUM_BOUND
+    d: int, bound: int = DEFAULT_ENUM_BOUND, group: ClassGroup | None = None
 ) -> list[QuadForm]:
     """Representatives of Cl(d)^2 intersected with Cl(d)[2], for d < 0.
 
     Computed directly from the explicit class group: the set of squares of all
-    classes intersected with the set of classes of order dividing 2.
+    classes intersected with the set of classes of order dividing 2.  A caller
+    that has already built `class_group(d)` passes it as `group`.
     """
-    group = class_group(d, bound)
+    if group is None:
+        group = class_group(d, bound)
+    elif group.disc != d:
+        raise DiscriminantMismatch(f"class group of {group.disc}, field {d}")
     one = reduce_form(principal_form(d))
     squares = {compose(f, f) for f in group.classes}
     torsion = {f for f in group.classes if compose(f, f) == one}

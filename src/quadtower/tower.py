@@ -4,11 +4,11 @@ and the two-sided cross-checks between class-field data and the group engine.
 
 from __future__ import annotations
 
-import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .arith import factor, is_fundamental, kronecker, prime_discriminants
+from .arith import factor, is_fundamental, kronecker
 from .errors import (
     NotFundamental,
     NotImaginary,
@@ -38,6 +38,7 @@ from .pgroup import (
 from .quadforms import (
     DEFAULT_ENUM_BOUND,
     AbelianType,
+    ClassGroup,
     class_group,
     compose,
     prime_form,
@@ -49,7 +50,6 @@ from .quadforms import (
 
 TYPE_4P = "Type4p"
 TYPE_4R = "Type4r"
-TYPE_PS1 = "TypePS1"
 OTHER = "Other"
 
 
@@ -130,34 +130,6 @@ def _try_4pqr(d: int) -> FieldClassification | None:
     return None
 
 
-def _try_ps1(d: int) -> FieldClassification | None:
-    """Match the four-prime-discriminant pattern with its symbol conditions."""
-    if d % 8 == 4:
-        return None
-    pds = sorted(prime_discriminants(d), key=lambda x: x.value)
-    if len(pds) != 4:
-        return None
-    negative = [x for x in pds if x.value < 0]
-    positive = [x for x in pds if x.value > 0]
-    if len(negative) != 3 or len(positive) != 1:
-        return None
-    d4 = positive[0]
-    for d1, d2, d3 in itertools.permutations(negative):
-        witness = tuple(
-            Check(f"({dj.value}/{d4.prime})", -1, kronecker(dj.value, d4.prime))
-            for dj in (d1, d2, d3)
-        ) + (
-            Check(f"({d1.value}/{d2.prime})", -1, kronecker(d1.value, d2.prime)),
-            Check(f"({d2.value}/{d3.prime})", -1, kronecker(d2.value, d3.prime)),
-            Check(f"({d3.value}/{d1.prime})", -1, kronecker(d3.value, d1.prime)),
-        )
-        if all(c.passed for c in witness):
-            return FieldClassification(
-                d, TYPE_PS1, (d1.value, d2.value, d3.value, d4.value), witness
-            )
-    return None
-
-
 def classify(d: int) -> FieldClassification:
     """Classify a negative fundamental discriminant into the supported kinds."""
     if d >= 0:
@@ -165,9 +137,6 @@ def classify(d: int) -> FieldClassification:
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not a fundamental discriminant")
     result = _try_4pqr(d)
-    if result is not None:
-        return result
-    result = _try_ps1(d)
     if result is not None:
         return result
     return FieldClassification(d, OTHER, (), ())
@@ -183,12 +152,13 @@ def invariants(
 
 def _invariants_for(
     cls: FieldClassification, bound: int
-) -> tuple[int, int, int, int, int]:
-    """(n, m, mu, h2_k, h2_minus4p) for an already-classified field."""
+) -> tuple[int, int, int, int, int, ClassGroup]:
+    """(n, m, mu, h2_k, h2_minus4p, Cl(k)) for an already-classified field."""
     if cls.kind not in (TYPE_4P, TYPE_4R):
         raise UnsupportedKind(f"{cls.d} is {cls.kind}")
     p = cls.primes[0]
-    h2_k, typ = two_part(class_group(cls.d, bound))
+    group = class_group(cls.d, bound)
+    h2_k, typ = two_part(group)
     expected_shape = typ.parts == (h2_k // 4, 2, 2) and h2_k >= 16
     if not expected_shape:
         raise StructureMismatch(
@@ -201,7 +171,7 @@ def _invariants_for(
             f"Cl_2({-4 * p}) has type {typ_p}, expected cyclic"
         )
     m = h2_p.bit_length() - 1
-    return n, m, m, h2_k, h2_p
+    return n, m, m, h2_k, h2_p, group
 
 
 def corollary2_closed_forms(n: int, m: int) -> dict[str, AbelianType]:
@@ -244,7 +214,7 @@ def predict(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     """Predicted Galois group of the 2-class field tower, with the
     intermediate-field table computed two ways (closed form vs engine)."""
     cls = classify(d)
-    n, m, mu, h2_k, h2_p = _invariants_for(cls, bound)
+    n, m, mu, h2_k, h2_p, _ = _invariants_for(cls, bound)
     checks: list[Check] = []
     if cls.kind == TYPE_4P:
         params = GroupParams(n=n, m=m, eps=1, family="Gamma")
@@ -290,13 +260,13 @@ def _h2_of_disc(dd: int, bound: int) -> int:
 def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     """Cross-check the class-field side against the group engine for one field."""
     cls = classify(d)
-    n, m, mu, h2_k, h2_p = _invariants_for(cls, bound)
+    n, m, mu, h2_k, h2_p, group = _invariants_for(cls, bound)
     p, q, qp = cls.primes
     checks: list[Check] = []
 
     # Square torsion: exactly one nontrivial 2-torsion class is a square;
     # for p = 1 mod 8 it is the class [2][p].
-    torsion = square_2torsion(d, bound)
+    torsion = square_2torsion(d, bound, group)
     if cls.kind == TYPE_4P:
         two_p = compose(prime_form(d, 2), prime_form(d, p))
         expected_st = sorted({reduce_form(principal_form(d)), two_p})
@@ -304,10 +274,14 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     else:
         checks.append(Check("square-2torsion-size", 2, len(torsion)))
 
-    # Principality in the two real quadratic fields.
-    if cls.kind == TYPE_4P:
-        checks.append(Check("lemma1-case1", True, lemma1_check(1, (q, p), bound).ok))
-    checks.append(Check("lemma1-case2", True, lemma1_check(2, (p, q, qp), bound).ok))
+    # Principality in the two real quadratic fields.  Every 2-class number
+    # found on the way goes into h2s, so each class group is built once.
+    h2s = {d: h2_k, -4 * p: h2_p}
+    lemma_cases = [(1, (q, p))] if cls.kind == TYPE_4P else []
+    for case, primes in lemma_cases + [(2, (p, q, qp))]:
+        report = lemma1_check(case, primes, bound)
+        h2s[report.discriminant] = report.h2
+        checks.append(Check(f"lemma1-case{case}", True, report.ok))
 
     if cls.kind == TYPE_4P:
         # Seven-extension class numbers: Kuroda's formula on the actual
@@ -315,11 +289,11 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
         rows = table1_predictions(n, mu)
         discs = subfield_discriminants(p, q, qp)
         for row in rows:
-            dk, d2, d3 = discs[row.j]
+            for dd in discs[row.j]:
+                if dd not in h2s:
+                    h2s[dd] = _h2_of_disc(dd, bound)
             actual = kuroda_h2(
-                "V4-over-Q-complex",
-                [_h2_of_disc(dk, bound), _h2_of_disc(d2, bound), _h2_of_disc(d3, bound)],
-                q_index=1,
+                "V4-over-Q-complex", [h2s[dd] for dd in discs[row.j]], q_index=1
             )
             checks.append(Check(f"table1-h2-{row.j}", row.h2, actual))
 
@@ -381,15 +355,21 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
 
 
 def _scan_chunk(args: tuple[int, int, int]) -> list[TowerReport]:
+    """The Type4p/Type4r fields with lo <= d <= hi, in descending d order.
+
+    A field of the family has d = -4pqq' with three distinct odd primes,
+    p = 1 (mod 4) and q = q' = 3 (mod 8), so d/4 = -pqq' = 3 (mod 4) and
+    d = 12 (mod 16).  A squarefree d/4 = 3 (mod 4) also makes d fundamental,
+    so the walk visits only that residue class and hands each d to the
+    family matcher, which factors it once.
+    """
     lo, hi, bound = args
     out = []
-    for d in range(hi, lo - 1, -1):
-        if d >= 0 or not is_fundamental(d):
+    for d in range(hi - (hi - 12) % 16, lo - 1, -16):
+        cls = _try_4pqr(d)
+        if cls is None:
             continue
-        cls = classify(d)
-        if cls.kind not in (TYPE_4P, TYPE_4R):
-            continue
-        n, m, mu, h2_k, h2_p = _invariants_for(cls, bound)
+        n, m, mu, h2_k, h2_p, _ = _invariants_for(cls, bound)
         out.append(
             TowerReport(
                 classification=cls,
@@ -417,10 +397,13 @@ def scan(
 ) -> list[TowerReport]:
     """All Type4p/Type4r fields with lo <= d <= hi, in descending d order.
 
-    The result is deterministic and independent of the worker count.
+    Only d = 12 (mod 16) are examined; `_scan_chunk` gives the reason.  The
+    result is deterministic and independent of the worker count, which is
+    capped at the number of CPUs.
     """
     if not (lo < hi <= -1):
         raise ValueError(f"need lo < hi <= -1, got [{lo}, {hi}]")
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _scan_chunk((lo, hi, bound))
     span = hi - lo + 1

@@ -77,6 +77,10 @@ def test_square_2torsion_examples():
     # Squares of a cyclic group of order 4 meet the 2-torsion in C2.
     result = square_2torsion(-68)
     assert len(result) == 2 and QuadForm(2, 2, 9) in result
+    # A class group built by the caller gives the same result.
+    assert square_2torsion(-68, group=class_group(-68)) == result
+    with pytest.raises(DiscriminantMismatch):
+        square_2torsion(-68, group=class_group(-84))
 
 
 def test_lemma1_examples():

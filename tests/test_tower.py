@@ -1,7 +1,11 @@
 """Field classification, invariants, predictions, cross-checks, scans."""
 
+from collections import Counter
+
 import pytest
 
+from quadtower import genus, quadforms, tower
+from quadtower.arith import is_fundamental
 from quadtower.errors import NotFundamental, NotImaginary, UnsupportedKind
 from quadtower.quadforms import AbelianType
 from quadtower.tower import (
@@ -35,8 +39,8 @@ def test_classify_other():
 
 
 def test_classify_ps1():
-    # d = -4 * -3 * -11 * 17 has four prime discriminants; the PS1 pattern
-    # additionally needs d != 4 mod 8, so -2244 itself is excluded.
+    # d = -4 * -3 * -11 * 17 has four prime discriminants; it is classified
+    # by the paper's family as -4pqq' with p = 17, q = 3, q' = 11.
     assert classify(-2244).kind == "Type4p"
 
 
@@ -118,3 +122,106 @@ def test_scan_parallel_deterministic():
     serial = scan(-8000, -1)
     parallel = scan(-8000, -1, workers=3)
     assert [(r.d, r.n, r.m) for r in serial] == [(r.d, r.n, r.m) for r in parallel]
+
+
+def test_crosscheck_builds_each_class_group_once(monkeypatch):
+    built = Counter()
+    real = quadforms.class_group
+
+    def counting(d, *args, **kwargs):
+        built[d] += 1
+        return real(d, *args, **kwargs)
+
+    for module in (tower, genus, quadforms):
+        monkeypatch.setattr(module, "class_group", counting)
+    d, p, q, qp = -329988, 257, 3, 107
+    assert tower.crosscheck(d).all_passed
+    assert set(built) == {
+        d, -4 * p, q * qp, p, -4 * q * qp, -4, p * q * qp, -q, 4 * p * qp,
+        -qp, 4 * p * q, 4 * q, -p * qp, 4 * qp, -p * q,
+    }
+    assert set(built.values()) == {1}
+
+
+@pytest.fixture(scope="module")
+def family_below_1e5():
+    """Exhaustive classification: every fundamental d in [-100000, -1]."""
+    return [
+        (cls.d, cls.kind, cls.primes, cls.witness)
+        for d in range(-1, -100001, -1)
+        if is_fundamental(d)
+        for cls in [classify(d)]
+        if cls.kind in ("Type4p", "Type4r")
+    ]
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A 3-CPU machine whose process pool maps in-process; the list records
+    the max_workers of every pool made."""
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(tower, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(tower.os, "cpu_count", lambda: 3)
+    return requested
+
+
+def _rows(reports):
+    return [
+        (r.d, r.classification.kind, r.classification.primes, r.classification.witness)
+        for r in reports
+    ]
+
+
+def test_scan_matches_exhaustive_classification(family_below_1e5):
+    assert len(family_below_1e5) == 107
+    assert _rows(scan(-100000, -1)) == family_below_1e5
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (-2245, -2244), (-2244, -2243), (-2243, -2242), (-2260, -2245),
+        (-2260, -2229), (-2581, -2580), (-2580, -2579), (-2596, -2581),
+        (-2600, -2230), (-2596, -2565),
+    ],
+)
+def test_scan_boundary_windows(family_below_1e5, serial_pool, lo, hi):
+    expected = [row for row in family_below_1e5 if lo <= row[0] <= hi]
+    assert _rows(scan(lo, hi)) == expected
+    # Three chunks whose own bounds are not 12 mod 16.
+    assert _rows(scan(lo, hi, workers=3)) == expected
+    assert serial_pool == [3]
+
+
+def test_scan_visits_only_12_mod_16(monkeypatch):
+    visited = []
+    real = tower._try_4pqr
+
+    def recording(d):
+        visited.append(d)
+        return real(d)
+
+    monkeypatch.setattr(tower, "_try_4pqr", recording)
+    assert [r.d for r in scan(-2600, -2230)] == [-2244, -2580]
+    assert visited == [d for d in range(-2230, -2601, -1) if d % 16 == 12]
+
+
+def test_scan_workers_capped_at_cpu_count(serial_pool):
+    serial = scan(-8000, -1)
+    assert serial_pool == []
+    assert _rows(scan(-8000, -1, workers=100000)) == _rows(serial)
+    assert serial_pool == [3]
