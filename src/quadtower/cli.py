@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -280,7 +281,10 @@ def cmd_scan(args, config) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged, so every main call can share it."""
     parser = _Parser(prog="quadtower", description=__doc__)
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
     parser.add_argument("--bound", type=int, default=DEFAULT_ENUM_BOUND)
@@ -323,8 +327,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     config = {
         k: v
         for k, v in sorted(vars(args).items())

@@ -32,18 +32,6 @@ from .quadforms import (
 )
 
 
-@dataclass(frozen=True)
-class GenusCharacterValue:
-    """Value of one genus character on a form class."""
-
-    character: PrimeDiscriminant
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value not in (-1, 1):
-            raise ValueError(f"character value must be +-1, got {self.value}")
-
-
 # Largest |x|, |y| searched for a value coprime to the discriminant.  Class
 # representatives with |d| <= 20000 need at most 8.
 _VALUE_BOX = 64
@@ -80,14 +68,6 @@ def chi_eval(d: int, d_i: PrimeDiscriminant | int, f: QuadForm) -> int:
         raise NotFundamental(f"{d_i.value} is not a prime discriminant of {d}")
     v = _coprime_positive_value(f, d)
     return kronecker(d_i.value, v)
-
-
-def all_characters(d: int, f: QuadForm) -> tuple[GenusCharacterValue, ...]:
-    """All genus character values on the class of f, sorted by character."""
-    return tuple(
-        GenusCharacterValue(d_i, chi_eval(d, d_i, f))
-        for d_i in sorted(prime_discriminants(d))
-    )
 
 
 def square_2torsion(

@@ -1,9 +1,10 @@
-"""Kuroda class number formula layouts and the seven-extension prediction table.
+"""Kuroda's class number formula and the seven-extension prediction table.
 
 The formula expresses the 2-class number of a multiquadratic field through the
-2-class numbers of its quadratic subfields and a unit index q.  Only the five
-layouts actually needed here are supported; the unit indices are pinned inputs,
-not computed from unit groups.
+2-class numbers of its quadratic subfields and a unit index q.  The pipeline
+needs one instance: a V4 field over Q containing an imaginary quadratic field,
+with three quadratic subfields.  The unit indices are pinned inputs, not
+computed from unit groups.
 """
 
 from __future__ import annotations
@@ -13,65 +14,27 @@ from math import prod
 
 from .errors import InvalidParams, NonIntegralResult
 
-# kind -> (2-adic prefactor exponent, number of quadratic subfields)
-_LAYOUTS: dict[str, tuple[int, int]] = {
-    "V4-over-Q-complex": (1, 3),
-    "V4-over-Q-real": (2, 3),
-    "V4-over-k": (2, 3),
-    "Deg8-over-Q-real": (9, 7),
-    "Deg16-over-Q-complex": (16, 15),
-}
-
 
 def _is_2power(x: int) -> bool:
     return x >= 1 and x & (x - 1) == 0
 
 
-@dataclass(frozen=True)
-class KurodaLayout:
-    """One of the five supported instantiations of Kuroda's formula."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _LAYOUTS:
-            raise InvalidParams(f"unknown Kuroda layout {self.kind!r}")
-
-    @property
-    def power(self) -> int:
-        return _LAYOUTS[self.kind][0]
-
-    @property
-    def subfield_count(self) -> int:
-        return _LAYOUTS[self.kind][1]
-
-
-def kuroda_h2(
-    layout: KurodaLayout | str,
-    subfield_h2: list[int] | tuple[int, ...],
-    q_index: int,
-    base_h2: int = 1,
-) -> int:
-    """2^(-power) * q_index * prod(subfield_h2) [/ base_h2^2 for V4-over-k].
+def kuroda_h2(subfield_h2: list[int] | tuple[int, ...], q_index: int) -> int:
+    """Kuroda's formula for a complex V4 field over Q: q_index times the
+    product of the three quadratic-subfield 2-class numbers, over 2.
 
     All inputs must be powers of 2 and the result must again be a positive
     power of 2; anything else signals inconsistent wiring.
     """
-    if isinstance(layout, str):
-        layout = KurodaLayout(layout)
-    if len(subfield_h2) != layout.subfield_count:
-        raise InvalidParams(
-            f"{layout.kind} needs {layout.subfield_count} subfield values, "
-            f"got {len(subfield_h2)}"
-        )
-    for x in (*subfield_h2, q_index, base_h2):
+    if len(subfield_h2) != 3:
+        raise InvalidParams(f"need 3 subfield values, got {len(subfield_h2)}")
+    for x in (*subfield_h2, q_index):
         if not _is_2power(x):
             raise NonIntegralResult(f"input {x} is not a positive 2-power")
     num = q_index * prod(subfield_h2)
-    den = (1 << layout.power) * (base_h2 * base_h2 if layout.kind == "V4-over-k" else 1)
-    if num % den != 0:
-        raise NonIntegralResult(f"{num}/{den} is not integral")
-    result = num // den
+    if num % 2 != 0:
+        raise NonIntegralResult(f"{num}/2 is not integral")
+    result = num // 2
     if not _is_2power(result):
         raise NonIntegralResult(f"result {result} is not a positive 2-power")
     return result
@@ -91,9 +54,8 @@ class Table1Row:
 
 
 # Per extension j: (label, unit-group descriptor, norm-group descriptor,
-# capitulation kernel order, capitulation kernel generators, and the
-# discriminant shapes of the two quadratic subfields other than k itself,
-# as (sign, prime-product) symbols resolved in subfield_discriminants).
+# capitulation kernel order, and the generators of the capitulation kernel
+# as ideal-class labels such as "[2]" and "[p]").
 _TABLE1_STATIC = (
     (1, "k(sqrt(-p))", "<-1, eps_qq'>", "1", 4, ("[p]", "[q]")),
     (2, "k(sqrt(p))", "<-1, eps_p>", "<-1>", 2, ("[p]",)),
@@ -153,11 +115,7 @@ def table1_predictions(n: int, mu: int) -> tuple[Table1Row, ...]:
     rows = []
     for j, label, units, norms, kappa_n, kappa_gens in _TABLE1_STATIC:
         s1, s2 = _subfield_h2_symbols(j)
-        h2 = kuroda_h2(
-            "V4-over-Q-complex",
-            [h2_k, _pinned_h2(s1, mu), _pinned_h2(s2, mu)],
-            q_index=1,
-        )
+        h2 = kuroda_h2([h2_k, _pinned_h2(s1, mu), _pinned_h2(s2, mu)], q_index=1)
         rows.append(
             Table1Row(
                 j=j,

@@ -5,7 +5,9 @@ Elements are 5-exponent normal forms a1^e1 a2^e2 a3^e3 c12^f1 c13^f2, with
 multiplication by collection.  A subgroup is its member set together with a
 generating set of at most log2 of its order elements; derived and Frattini
 subgroups and lower central terms are normal closures of a few commutators
-and squares of those generators.  Quotients are coset-table groups.  All
+and squares of those generators, and maximal subgroups come from a Burnside
+basis of h/Phi(h).  PGroup and the quotient groups share one protocol:
+elements(), gens(), mul, inv and identity, with pow and comm from _Group.  All
 operations are exact and exhaustive; PGroup refuses orders above 2^16
 (MAX_ORDER_LOG2) with BoundExceeded before building any element.
 """
@@ -14,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
 
 from .errors import (
     BoundExceeded,
@@ -52,7 +53,25 @@ class GroupParams:
             raise InvalidParams("Gamma4r requires m = 1 and eps = 1")
 
 
-class PGroup:
+class _Group:
+    """pow and comm for a group given by mul, inv and identity."""
+
+    def pow(self, x, k: int):
+        if k < 0:
+            x, k = self.inv(x), -k
+        r = self.identity
+        while k:
+            if k & 1:
+                r = self.mul(r, x)
+            x = self.mul(x, x)
+            k >>= 1
+        return r
+
+    def comm(self, x, y):
+        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
+
+
+class PGroup(_Group):
     """The group Gamma_{n,m,eps} (order 2^(n+m+3)), or Gamma_n^(4r)
     (order 2^(n+4)) for family "Gamma4r"."""
 
@@ -98,20 +117,6 @@ class PGroup:
             for f2 in range(self.f2_mod)
         ]
 
-    def contains(self, x: Element) -> bool:
-        return (
-            len(x) == 5
-            and 0 <= x[0] < 2
-            and 0 <= x[1] < 2
-            and 0 <= x[2] < self.e3_mod
-            and 0 <= x[3] < 2
-            and 0 <= x[4] < self.f2_mod
-        )
-
-    def element(self, e1: int = 0, e2: int = 0, e3: int = 0, f1: int = 0,
-                f2: int = 0) -> Element:
-        return (e1 & 1, e2 & 1, e3 % self.e3_mod, f1 & 1, f2 % self.f2_mod)
-
     def mul(self, x: Element, y: Element) -> Element:
         if not (x[2] < self.e3_mod and x[4] < self.f2_mod
                 and y[2] < self.e3_mod and y[4] < self.f2_mod):
@@ -153,68 +158,35 @@ class PGroup:
         z = self.mul(x, s)
         return (s[0], s[1], s[2], z[3] & 1, (-z[4]) % self.f2_mod)
 
-    def pow(self, x: Element, k: int) -> Element:
-        if k < 0:
-            x, k = self.inv(x), -k
-        r = self.identity
-        while k:
-            if k & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return r
 
-    def comm(self, x: Element, y: Element) -> Element:
-        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
+class TableGroup(_Group):
+    """The quotient of a group by a normal subgroup N.  Its elements are the
+    cosets of N as frozensets; a product of cosets is the coset of the
+    product of their representatives."""
 
-    def word(self, text: str) -> Element:
-        """Parse words like "a1 a3^2 c13^-1" into an element."""
-        r = self.identity
-        named = {"a1": self.a1, "a2": self.a2, "a3": self.a3,
-                 "c12": self.c12, "c13": self.c13}
-        for tok in text.split():
-            name, _, exp = tok.partition("^")
-            r = self.mul(r, self.pow(named[name], int(exp) if exp else 1))
-        return r
-
-
-class TableGroup:
-    """A finite group given by explicit elements and a multiplication rule;
-    used for quotient groups over frozenset cosets."""
-
-    def __init__(self, elements, mul, inv, identity, gens):
-        self._elements = list(elements)
-        self._mul = mul
-        self._inv = inv
-        self.identity = identity
-        self._gens = list(gens)
-        self.order = len(self._elements)
+    def __init__(self, group, N: Subgroup):
+        self._group = group
+        self._coset_of = {}
+        self._rep = {}
+        for x in group.elements():
+            if x not in self._coset_of:
+                cs = frozenset(group.mul(x, w) for w in N.elements)
+                self._coset_of.update(dict.fromkeys(cs, cs))
+                self._rep[cs] = x
+        self.identity = self._coset_of[group.identity]
+        self.order = len(self._rep)
 
     def elements(self):
-        return list(self._elements)
+        return list(self._rep)
 
     def gens(self):
-        return list(self._gens)
+        return [self._coset_of[x] for x in self._group.gens()]
 
-    def mul(self, x, y):
-        return self._mul(x, y)
+    def mul(self, c1, c2):
+        return self._coset_of[self._group.mul(self._rep[c1], self._rep[c2])]
 
-    def inv(self, x):
-        return self._inv(x)
-
-    def pow(self, x, k: int):
-        if k < 0:
-            x, k = self.inv(x), -k
-        r = self.identity
-        while k:
-            if k & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return r
-
-    def comm(self, x, y):
-        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
+    def inv(self, c):
+        return self._coset_of[self._group.inv(self._rep[c])]
 
 
 def gamma(n: int, m: int, eps: int) -> PGroup:
@@ -241,9 +213,6 @@ class Subgroup:
 
     def __contains__(self, x) -> bool:
         return x in self.elements
-
-    def index_in(self, other: "Subgroup") -> int:
-        return len(other.elements) // len(self.elements)
 
 
 def closure(group, gens) -> frozenset:
@@ -288,6 +257,18 @@ def _generated(group, seeds, conj_gens=()) -> Subgroup:
     return Subgroup(group, span, tuple(gens))
 
 
+def _normalizes(group, conj_gens, sub: Subgroup) -> bool:
+    """Whether y^-1 x y lies in sub for every y in conj_gens and every x in
+    sub's generators (its members when it has none)."""
+    members = sub.elements
+    for y in conj_gens:
+        yi = group.inv(y)
+        for x in sub.generators or members:
+            if group.mul(group.mul(yi, x), y) not in members:
+                return False
+    return True
+
+
 def derived_subgroup(h: Subgroup) -> Subgroup:
     """Commutator subgroup of h: the normal closure in h of the commutators
     of its generators (Holt, Eick and O'Brien, Handbook of Computational
@@ -298,10 +279,8 @@ def derived_subgroup(h: Subgroup) -> Subgroup:
     der = _generated(g, comms, gens)
     # Certificate that der really is [h, h]: der must be normal in h and
     # h/der abelian; together with der <= [h,h] this forces equality.
-    for x in der.generators:
-        for y in gens:
-            if g.mul(g.mul(g.inv(y), x), y) not in der.elements:
-                raise StructureMismatch("derived subgroup candidate not normal")
+    if not _normalizes(g, gens, der):
+        raise StructureMismatch("derived subgroup candidate not normal")
     for x in gens:
         for y in gens:
             if g.comm(x, y) not in der.elements:
@@ -360,10 +339,8 @@ def abelian_type_of(h: Subgroup, modulo: Subgroup | None = None) -> AbelianType:
     nset = modulo.elements
     if not nset <= nelems:
         raise NotNormal("modulo is not contained in the subgroup")
-    for x in h.generators or nelems:
-        for y in modulo.generators or nset:
-            if g.mul(g.mul(g.inv(x), y), x) not in nset:
-                raise NotNormal("modulo is not normal in the subgroup")
+    if not _normalizes(g, h.generators or nelems, modulo):
+        raise NotNormal("modulo is not normal in the subgroup")
     reps = coset_reps(g, nelems, nset)
     # With modulo normal in h, h/modulo is abelian iff h's generators commute
     # modulo it.
@@ -400,44 +377,38 @@ def abelianization(group) -> AbelianType:
 # ---------------------------------------------------------------------------
 
 def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
-    """All index-2 subgroups, as preimages of hyperplanes of h/Phi(h)."""
+    """All index-2 subgroups, as preimages of the hyperplanes of h/Phi(h).
+
+    A Burnside basis b_1..b_r is read off h's generators: each one outside
+    the span of Phi(h) and the basis so far joins it (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 3.3).  The hyperplane of a
+    nonzero w in F_2^r is spanned by the b_i with w_i = 0 and the b_i0 b_j
+    with w_j = 1, j != i0, where i0 is the first index with w_i = 1.
+    """
     g = h.group
     phi = frattini_subgroup(h)
-    reps = coset_reps(g, h.elements, phi.elements)
-    rank = (len(reps)).bit_length() - 1
-    if 1 << rank != len(reps):
-        raise RankMismatch("Frattini quotient is not elementary abelian 2")
-    # Assign each coset a coordinate vector over F2 by spanning with reps.
     basis = []
-    coords = {_coset_key(g, g.identity, phi.elements): 0}
-    coset_of = {}
-    for x in sorted(h.elements):
-        coset_of[x] = _coset_key(g, x, phi.elements)
-    for x in reps:
-        key = coset_of[x]
-        if key in coords:
-            continue
-        newvecs = dict(coords)
-        bit = 1 << len(basis)
-        for k, v in coords.items():
-            rep = min(k)
-            prod = coset_of[g.mul(rep, x)]
-            newvecs[prod] = v | bit
-        basis.append(x)
-        coords = newvecs
-    if len(basis) != rank:  # pragma: no cover
-        raise RankMismatch("basis extraction failed")
+    span = phi.elements
+    for x in h.generators or _generated(g, h.elements).generators:
+        if x not in span:
+            basis.append(x)
+            span = closure(g, list(phi.generators) + basis)
+    if span != h.elements:
+        raise RankMismatch("Burnside basis does not span the subgroup")
     out = []
-    for w in range(1, 1 << rank):
-        members = frozenset(
-            x for x in h.elements if bin(coords[coset_of[x]] & w).count("1") % 2 == 0
-        )
-        out.append(_generated(g, members))
+    for w in range(1, 1 << len(basis)):
+        i0 = (w & -w).bit_length() - 1
+        seeds = list(phi.generators)
+        for j, b in enumerate(basis):
+            if not w >> j & 1:
+                seeds.append(b)
+            elif j != i0:
+                seeds.append(g.mul(basis[i0], b))
+        sub = _generated(g, seeds)
+        if 2 * sub.order != h.order:
+            raise RankMismatch("hyperplane preimage does not have index 2")
+        out.append(sub)
     return out
-
-
-def _coset_key(group, x, nset: frozenset):
-    return frozenset(group.mul(x, w) for w in nset)
 
 
 def standard_maximal_subgroups(g: PGroup) -> list[Subgroup]:
@@ -467,43 +438,42 @@ def standard_maximal_subgroups(g: PGroup) -> list[Subgroup]:
 def subgroups_of_index4(group) -> list[tuple[Subgroup, bool]]:
     """All index-4 subgroups with a normality flag, via maximal subgroups of
     maximal subgroups."""
-    top = whole_group(group)
     gens = group.gens()
     seen = {}
-    for mx in maximal_subgroups(top):
+    for mx in maximal_subgroups(whole_group(group)):
         for sub in maximal_subgroups(mx):
             seen[sub.elements] = sub
-    out = []
-    for els, sub in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
-        normal = all(
-            group.mul(group.mul(group.inv(g), x), g) in els
-            for g in gens
-            for x in els
-        )
-        out.append((sub, normal))
-    return out
+    return [
+        (sub, _normalizes(group, gens, sub))
+        for _, sub in sorted(seen.items(), key=lambda kv: sorted(kv[0]))
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Transfer maps
 # ---------------------------------------------------------------------------
 
-def transfer(K: Subgroup, H: Subgroup, x, z=None) -> frozenset:
-    """Transfer value t_{K,H}(xK') as a coset of H' in H, for (K:H) = 2."""
+def _transfer_values(K: Subgroup, H: Subgroup, xs, z=None) -> list:
+    """Representatives of t_{K,H}(x K') modulo H' for each x in xs, with
+    (K:H) = 2 and z in K outside H: x^2 [x, z] for x in H, x^2 otherwise."""
     g = K.group
     if not H.elements <= K.elements or 2 * H.order != K.order:
         raise IndexNotTwo("H must have index 2 in K")
-    if x not in K.elements:
-        raise ElementOutsideK(f"{x} is not in the source subgroup")
     if z is None:
         z = next(y for y in sorted(K.elements) if y not in H.elements)
-    hprime = derived_subgroup(H)
-    sq = g.mul(x, x)
-    if x in H.elements:
-        val = g.mul(sq, g.comm(x, z))
-    else:
-        val = sq
-    return frozenset(g.mul(val, w) for w in hprime.elements)
+    out = []
+    for x in xs:
+        if x not in K.elements:
+            raise ElementOutsideK(f"{x} is not in the source subgroup")
+        sq = g.mul(x, x)
+        out.append(g.mul(sq, g.comm(x, z)) if x in H.elements else sq)
+    return out
+
+
+def transfer(K: Subgroup, H: Subgroup, x, z=None) -> frozenset:
+    """Transfer value t_{K,H}(xK') as a coset of H' in H, for (K:H) = 2."""
+    (val,) = _transfer_values(K, H, [x], z)
+    return frozenset(K.group.mul(val, w) for w in derived_subgroup(H).elements)
 
 
 def transfer_kernel(K: Subgroup, H: Subgroup):
@@ -513,23 +483,21 @@ def transfer_kernel(K: Subgroup, H: Subgroup):
     cosets of K' (each a frozenset) mapping to the trivial coset of H'.
     """
     g = K.group
-    if not H.elements <= K.elements or 2 * H.order != K.order:
-        raise IndexNotTwo("H must have index 2 in K")
     kprime = derived_subgroup(K)
-    hprime = derived_subgroup(H)
-    z = next(y for y in sorted(K.elements) if y not in H.elements)
-    kernel = set()
-    for rep in coset_reps(g, K.elements, kprime.elements):
-        sq = g.mul(rep, rep)
-        val = g.mul(sq, g.comm(rep, z)) if rep in H.elements else sq
-        if val in hprime.elements:
-            kernel.add(frozenset(g.mul(rep, w) for w in kprime.elements))
+    hprime = derived_subgroup(H).elements
+    reps = coset_reps(g, K.elements, kprime.elements)
+    kernel = {
+        frozenset(g.mul(rep, w) for w in kprime.elements)
+        for rep, val in zip(reps, _transfer_values(K, H, reps))
+        if val in hprime
+    }
     return len(kernel), kernel, kprime
 
 
 def in_transfer_kernel(K: Subgroup, H: Subgroup, x) -> bool:
-    """Whether t_{K,H}(xK') is the trivial coset H', i.e. contains 1."""
-    return K.group.identity in transfer(K, H, x)
+    """Whether t_{K,H}(xK') is the trivial coset H'."""
+    (val,) = _transfer_values(K, H, [x])
+    return val in derived_subgroup(H).elements
 
 
 # ---------------------------------------------------------------------------
@@ -539,30 +507,9 @@ def in_transfer_kernel(K: Subgroup, H: Subgroup, x) -> bool:
 def quotient_group(group, N: Subgroup) -> TableGroup:
     """The quotient of the full group by a normal subgroup, as a TableGroup
     over frozenset cosets."""
-    gens = group.gens()
-    for gg in gens:
-        for x in N.elements:
-            if group.mul(group.mul(group.inv(gg), x), gg) not in N.elements:
-                raise NotNormal("subgroup is not normal")
-    nset = N.elements
-    coset_of = {}
-    cosets = []
-    for x in group.elements():
-        if x in coset_of:
-            continue
-        cs = frozenset(group.mul(x, w) for w in nset)
-        for y in cs:
-            coset_of[y] = cs
-        cosets.append(cs)
-    ident = coset_of[group.identity]
-
-    def mul(c1, c2):
-        return coset_of[group.mul(min(c1), min(c2))]
-
-    def inv(c):
-        return coset_of[group.inv(min(c))]
-
-    return TableGroup(cosets, mul, inv, ident, [coset_of[gg] for gg in gens])
+    if not _normalizes(group, group.gens(), N):
+        raise NotNormal("subgroup is not normal")
+    return TableGroup(group, N)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,13 @@ def _invariants_for(
     return n, m, m, h2_k, h2_p, group
 
 
+def _predicted_group(cls: FieldClassification, n: int, m: int) -> GroupParams:
+    """Gamma_{n,m,1} for a Type4p field, Gamma_n^(4r) for a Type4r field."""
+    if cls.kind == TYPE_4P:
+        return GroupParams(n=n, m=m, eps=1, family="Gamma")
+    return GroupParams(n=n, m=1, eps=1, family="Gamma4r")
+
+
 def corollary2_closed_forms(n: int, m: int) -> dict[str, AbelianType]:
     """Closed-form 2-class group types of the intermediate fields.
 
@@ -217,13 +224,11 @@ def predict(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     n, m, mu, h2_k, h2_p, _ = _invariants_for(cls, bound)
     checks: list[Check] = []
     if cls.kind == TYPE_4P:
-        params = GroupParams(n=n, m=m, eps=1, family="Gamma")
         closed = corollary2_closed_forms(n, m)
         engine = corollary2_engine(n, m)
         for key in sorted(closed):
             checks.append(Check(f"corollary2-{key}", closed[key], engine[key]))
     else:
-        params = GroupParams(n=n, m=1, eps=1, family="Gamma4r")
         g = gamma4r(n)
         checks.append(
             Check(
@@ -244,7 +249,7 @@ def predict(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
         n=n,
         m=m,
         mu=mu,
-        predicted_group=params,
+        predicted_group=_predicted_group(cls, n, m),
         checks=tuple(checks),
         h2_k=h2_k,
         h2_minus4p=h2_p,
@@ -292,9 +297,7 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
             for dd in discs[row.j]:
                 if dd not in h2s:
                     h2s[dd] = _h2_of_disc(dd, bound)
-            actual = kuroda_h2(
-                "V4-over-Q-complex", [h2s[dd] for dd in discs[row.j]], q_index=1
-            )
+            actual = kuroda_h2([h2s[dd] for dd in discs[row.j]], q_index=1)
             checks.append(Check(f"table1-h2-{row.j}", row.h2, actual))
 
         # Genus field order: (1/4) h2(k) h2(-p), closed form, engine subgroup.
@@ -342,12 +345,7 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
         n=n,
         m=m,
         mu=mu,
-        predicted_group=GroupParams(
-            n=n,
-            m=m if cls.kind == TYPE_4P else 1,
-            eps=1,
-            family="Gamma" if cls.kind == TYPE_4P else "Gamma4r",
-        ),
+        predicted_group=_predicted_group(cls, n, m),
         checks=tuple(checks),
         h2_k=h2_k,
         h2_minus4p=h2_p,
@@ -376,12 +374,7 @@ def _scan_chunk(args: tuple[int, int, int]) -> list[TowerReport]:
                 n=n,
                 m=m,
                 mu=mu,
-                predicted_group=GroupParams(
-                    n=n,
-                    m=m if cls.kind == TYPE_4P else 1,
-                    eps=1,
-                    family="Gamma" if cls.kind == TYPE_4P else "Gamma4r",
-                ),
+                predicted_group=_predicted_group(cls, n, m),
                 h2_k=h2_k,
                 h2_minus4p=h2_p,
             )

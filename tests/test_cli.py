@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadtower
 from quadtower.cli import CSV_COLUMNS, main
 from quadtower.pgroup import PGroup
 
@@ -135,3 +140,29 @@ def test_usage_error_exit1(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def _fresh_run(*argv):
+    """The stdout of `python -m quadtower.cli argv` in a new process."""
+    src = str(Path(quadtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadtower.cli", *argv],
+        capture_output=True, env=env, check=True,
+    )
+    return proc.stdout.decode()
+
+
+def test_parser_reuse_matches_fresh_runs(capsys):
+    # main shares one parser across calls; a usage error must leave it
+    # unchanged, and no option of one call may leak into the next.
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "json", "scan", "-1"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    first = ["--format", "csv", "scan", "-3000", "-1", "--type", "4p"]
+    second = ["group", "1", "1", "0", "--report", "lcs"]
+    for argv in (first, second):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == _fresh_run(*argv)

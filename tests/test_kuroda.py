@@ -1,11 +1,10 @@
-"""Kuroda class number formula layouts and prediction tables."""
+"""Kuroda's class number formula and prediction tables."""
 
 import pytest
 
 from quadtower.arith import is_fundamental
 from quadtower.errors import InvalidParams, NonIntegralResult
 from quadtower.kuroda import (
-    KurodaLayout,
     genus_field_h2,
     kuroda_h2,
     subfield_discriminants,
@@ -14,41 +13,18 @@ from quadtower.kuroda import (
 from quadtower.quadforms import class_group, two_part, wide_h2
 
 
-def test_layout_validation():
-    assert KurodaLayout("V4-over-Q-complex").power == 1
-    assert KurodaLayout("Deg8-over-Q-real").power == 9
-    assert KurodaLayout("Deg16-over-Q-complex").subfield_count == 15
-    with pytest.raises(InvalidParams):
-        KurodaLayout("V5")
-
-
 def test_kuroda_h2_v4_layouts():
-    assert kuroda_h2("V4-over-Q-complex", [16, 4, 1], 1) == 32
-    assert kuroda_h2("V4-over-Q-real", [1, 1, 1], 4) == 1
-    assert kuroda_h2("V4-over-Q-real", [2, 1, 2], 2) == 2
-    # V4 over the base field k, with base correction h2(k)^2.
-    assert kuroda_h2("V4-over-k", [32, 32, 16], 2, base_h2=16) == 32
-
-
-def test_kuroda_h2_higher_layouts():
-    # Totally real degree-8 field with subfields p,q,q',pq,pq',qq',pqq'.
-    assert kuroda_h2("Deg8-over-Q-real", [1, 1, 1, 2, 2, 1, 2], 64) == 1
-    # Degree-16 complex multiquadratic field (the genus field), n = mu = 2.
-    negative = [1, 4, 1, 1, 2, 2, 4, 16]
-    positive = [1, 1, 1, 2, 2, 1, 2]
-    assert kuroda_h2("Deg16-over-Q-complex", negative + positive, 128) == 16
+    assert kuroda_h2([16, 4, 1], 1) == 32
 
 
 def test_kuroda_h2_errors():
     with pytest.raises(NonIntegralResult):
-        kuroda_h2("V4-over-Q-complex", [16, 3, 1], 1)
-    with pytest.raises(NonIntegralResult):
-        kuroda_h2("Deg8-over-Q-real", [1] * 7, 64)
+        kuroda_h2([16, 3, 1], 1)
     with pytest.raises(InvalidParams):
-        kuroda_h2("V4-over-Q-complex", [16, 4, 1, 1], 1)
+        kuroda_h2([16, 4, 1, 1], 1)
     # Perturbing one subfield value breaks integrality or the 2-power check.
     with pytest.raises(NonIntegralResult):
-        kuroda_h2("V4-over-Q-complex", [16, 4, 3], 1)
+        kuroda_h2([16, 4, 3], 1)
 
 
 def test_table1_predictions():
@@ -98,7 +74,5 @@ def test_predictions_match_actual_class_numbers():
     discs = subfield_discriminants(17, 3, 11)
     for row in rows:
         dk, d2, d3 = discs[row.j]
-        actual = kuroda_h2(
-            "V4-over-Q-complex", [h2_of(dk), h2_of(d2), h2_of(d3)], 1
-        )
+        actual = kuroda_h2([h2_of(dk), h2_of(d2), h2_of(d3)], 1)
         assert actual == row.h2, row.j

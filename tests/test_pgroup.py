@@ -94,14 +94,6 @@ def test_gamma4r_relations():
         assert g.pow(g.c13, 2) == g.identity
 
 
-def test_word_parser():
-    g = gamma(2, 2, 1)
-    assert g.word("a1 a3^2 c13^-1") == g.mul(
-        g.mul(g.a1, g.pow(g.a3, 2)), g.inv(g.c13)
-    )
-    assert g.word("") == g.identity
-
-
 def test_mul_range_guard():
     g = gamma(2, 2, 1)
     with pytest.raises(GroupMismatch):
@@ -262,7 +254,13 @@ def _assert_small_generating_set(sub):
 def test_subgroups_against_definitions():
     for g in _small_groups():
         top = whole_group(g)
-        subs = maximal_subgroups(top) + [s for s, _ in subgroups_of_index4(g)]
+        index4 = subgroups_of_index4(g)
+        for sub, normal in index4:
+            conjugates = {
+                g.mul(g.mul(g.inv(y), x), y) for x in sub.elements for y in top.elements
+            }
+            assert normal == (conjugates <= sub.elements)
+        subs = maximal_subgroups(top) + [s for s, _ in index4]
         for sub in subs:
             _assert_small_generating_set(sub)
             der = derived_subgroup(sub)
@@ -277,6 +275,22 @@ def test_subgroups_against_definitions():
             _assert_small_generating_set(nxt)
             expected = {g.comm(x, y) for x in cur.elements for y in top.elements}
             assert nxt.elements == closure(g, expected)
+
+
+def test_maximal_subgroups_by_definition():
+    # The maximal subgroups of a 2-group h are exactly its index-2 subgroups;
+    # each contains Phi(h), the subgroup generated by all squares, and there
+    # are 2^r - 1 of them for |h/Phi(h)| = 2^r.
+    for g in _small_groups():
+        top = whole_group(g)
+        phi = closure(g, {g.mul(x, x) for x in top.elements})
+        subs = maximal_subgroups(top)
+        for sub in subs:
+            assert phi <= sub.elements
+            assert 2 * sub.order == top.order
+        assert len({s.elements for s in subs}) == len(subs)
+        rank = (top.order // len(phi)).bit_length() - 1
+        assert len(subs) == (1 << rank) - 1
 
 
 # sha256 of `quadtower --format json group n m eps --report fingerprint` for
