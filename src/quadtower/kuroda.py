@@ -46,24 +46,21 @@ class Table1Row:
 
     j: int
     label: str
-    unit_group: str
-    norm_group: str
     kappa_order: int
     h2: int
     kappa_generators: tuple[str, ...]
 
 
-# Per extension j: (label, unit-group descriptor, norm-group descriptor,
-# capitulation kernel order, and the generators of the capitulation kernel
-# as ideal-class labels such as "[2]" and "[p]").
+# Per extension j: (label, capitulation kernel order, and the generators of
+# the capitulation kernel as ideal-class labels such as "[2]" and "[p]").
 _TABLE1_STATIC = (
-    (1, "k(sqrt(-p))", "<-1, eps_qq'>", "1", 4, ("[p]", "[q]")),
-    (2, "k(sqrt(p))", "<-1, eps_p>", "<-1>", 2, ("[p]",)),
-    (3, "k(sqrt(-1))", "<i, eps_pqq'>", "1", 4, ("[2]", "[p]")),
-    (4, "k(sqrt(-q))", "<zeta_q, eps_pq'>", "1", 4, ("[2]", "[q]")),
-    (5, "k(sqrt(-q'))", "<zeta_q', eps_pq>", "1", 4, ("[2]", "[pq]")),
-    (6, "k(sqrt(q))", "<-1, eps_q>", "1", 4, ("[2]", "[q]")),
-    (7, "k(sqrt(q'))", "<-1, eps_q'>", "1", 4, ("[2]", "[pq]")),
+    (1, "k(sqrt(-p))", 4, ("[p]", "[q]")),
+    (2, "k(sqrt(p))", 2, ("[p]",)),
+    (3, "k(sqrt(-1))", 4, ("[2]", "[p]")),
+    (4, "k(sqrt(-q))", 4, ("[2]", "[q]")),
+    (5, "k(sqrt(-q'))", 4, ("[2]", "[pq]")),
+    (6, "k(sqrt(q))", 4, ("[2]", "[q]")),
+    (7, "k(sqrt(q'))", 4, ("[2]", "[pq]")),
 )
 
 # 2-class numbers of the quadratic subfields of the k_j over Q, by genus
@@ -113,15 +110,13 @@ def table1_predictions(n: int, mu: int) -> tuple[Table1Row, ...]:
         raise InvalidParams(f"need n, mu >= 2, got ({n}, {mu})")
     h2_k = 1 << (n + 2)
     rows = []
-    for j, label, units, norms, kappa_n, kappa_gens in _TABLE1_STATIC:
+    for j, label, kappa_n, kappa_gens in _TABLE1_STATIC:
         s1, s2 = _subfield_h2_symbols(j)
         h2 = kuroda_h2([h2_k, _pinned_h2(s1, mu), _pinned_h2(s2, mu)], q_index=1)
         rows.append(
             Table1Row(
                 j=j,
                 label=label,
-                unit_group=units,
-                norm_group=norms,
                 kappa_order=kappa_n,
                 h2=h2,
                 kappa_generators=kappa_gens,

@@ -9,7 +9,8 @@ and squares of those generators, and maximal subgroups come from a Burnside
 basis of h/Phi(h).  PGroup and the quotient groups share one protocol:
 elements(), gens(), mul, inv and identity, with pow and comm from _Group.  All
 operations are exact and exhaustive; PGroup refuses orders above 2^16
-(MAX_ORDER_LOG2) with BoundExceeded before building any element.
+(MAX_ORDER_LOG2) with BoundExceeded before building any element, and caches
+each inverse it has computed, at most one per element.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ class PGroup(_Group):
         self.a3: Element = (0, 0, 1, 0, 0)
         self.c12: Element = (0, 0, 0, 1, 0)
         self.c13: Element = (0, 0, 0, 0, 1)
+        self._inverses: dict[Element, Element] = {}
 
     def gens(self) -> list[Element]:
         return [self.a1, self.a2, self.a3]
@@ -154,9 +156,16 @@ class PGroup(_Group):
         return (s1, s2, s3, (u + yu) & 1, (v + yv) % self.f2_mod)
 
     def inv(self, x: Element) -> Element:
+        try:
+            return self._inverses[x]
+        except KeyError:
+            pass
         s = (x[0], x[1], (-x[2]) % self.e3_mod, 0, 0)
-        z = self.mul(x, s)
-        return (s[0], s[1], s[2], z[3] & 1, (-z[4]) % self.f2_mod)
+        z = self.mul(x, s)  # raises GroupMismatch before x is cached
+        xi = (s[0], s[1], s[2], z[3] & 1, (-z[4]) % self.f2_mod)
+        if len(self._inverses) < self.order:
+            self._inverses[x] = xi
+        return xi
 
 
 class TableGroup(_Group):
@@ -391,8 +400,10 @@ def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
     span = phi.elements
     for x in h.generators or _generated(g, h.elements).generators:
         if x not in span:
+            # span contains Phi(h), so it is normal in h and x^2 lies in it:
+            # <span, x> = span u span x.
             basis.append(x)
-            span = closure(g, list(phi.generators) + basis)
+            span = span | {g.mul(y, x) for y in span}
     if span != h.elements:
         raise RankMismatch("Burnside basis does not span the subgroup")
     out = []
@@ -529,15 +540,26 @@ class Fingerprint:
     elt_order_histogram: tuple
 
 
+def _element_orders(group) -> dict:
+    """Order of every element of a 2-group, read off one squaring each:
+    order(x) = 2 order(x^2) for x != 1."""
+    square = {x: group.mul(x, x) for x in group.elements()}
+    order = {group.identity: 1}
+
+    def order_of(x):
+        if x not in order:
+            order[x] = 2 * order_of(square[x])
+        return order[x]
+
+    return {x: order_of(x) for x in square}
+
+
 def fingerprint(group) -> Fingerprint:
     top = whole_group(group)
     der = derived_subgroup(top)
     hist: dict[int, int] = {}
-    exponent = 1
-    for x in group.elements():
-        o = element_order(group, x)
+    for o in _element_orders(group).values():
         hist[o] = hist.get(o, 0) + 1
-        exponent = max(exponent, o)
     idx2 = sorted(
         abelian_type_of(mx, derived_subgroup(mx)).parts
         for mx in maximal_subgroups(top)
@@ -550,7 +572,7 @@ def fingerprint(group) -> Fingerprint:
         order=top.order,
         abelianization=abelian_type_of(top, der),
         derived_type=abelian_type_of(der),
-        exponent=exponent,
+        exponent=max(hist),
         center_order=centre(group).order,
         lcs_orders=tuple(t.order for t in lower_central_series(group)),
         sub_index2=tuple(map(tuple, idx2)),
@@ -574,11 +596,12 @@ def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
     presentation: relations, element count, sampled associativity, and the
     standard commutator identities.  Returns a report dict; never raises."""
     report = {"order": None, "failures": [], "seed": seed}
+    mul, inv, comm, gpow = g.mul, g.inv, g.comm, g.pow
     ident = g.identity
     a1, a2, a3 = g.gens()
-    c12 = g.comm(a1, a2)
-    c13 = g.comm(a1, a3)
-    c23 = g.comm(a2, a3)
+    c12 = comm(a1, a2)
+    c13 = comm(a1, a3)
+    c23 = comm(a2, a3)
 
     def check(name, ok):
         if not ok:
@@ -587,32 +610,33 @@ def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
     els = g.elements()
     report["order"] = len(els)
     check("element-count", len(set(els)) == g.order)
-    check("identity", all(g.mul(x, ident) == x and g.mul(ident, x) == x
+    check("identity", all(mul(x, ident) == x and mul(ident, x) == x
                           for x in els))
-    check("inverses", all(g.mul(x, g.inv(x)) == ident for x in els))
+    check("inverses", all(mul(x, inv(x)) == ident for x in els))
 
     if g.params.family == "Gamma":
         n, m = g.params.n, g.params.m
         half = 1 << (m - 1)
-        check("rel-a1sq", g.pow(a1, 2) == g.inv(c13))
-        check("rel-a2sq", g.pow(a2, 2) == g.pow(c13, half * g.params.eps))
+        check("rel-a1sq", gpow(a1, 2) == inv(c13))
+        check("rel-a2sq", gpow(a2, 2) == gpow(c13, half * g.params.eps))
         check("rel-a3pow",
-              g.pow(a3, 1 << n) == g.mul(c12, g.pow(c13, half)))
+              gpow(a3, 1 << n) == mul(c12, gpow(c13, half)))
         check("rel-c23", c23 == ident)
-        check("rel-c12sq", g.pow(c12, 2) == ident)
-        check("rel-c13pow", g.pow(c13, 1 << m) == ident)
+        check("rel-c12sq", gpow(c12, 2) == ident)
+        check("rel-c13pow", gpow(c13, 1 << m) == ident)
     else:
         n = g.params.n
-        check("rel-a1sq", g.pow(a1, 2) == c12)
-        check("rel-a2sq", g.pow(a2, 2) == c12)
-        check("rel-a3pow", g.pow(a3, 1 << n) == c13)
+        check("rel-a1sq", gpow(a1, 2) == c12)
+        check("rel-a2sq", gpow(a2, 2) == c12)
+        check("rel-a3pow", gpow(a3, 1 << n) == c13)
         check("rel-c23", c23 == ident)
-        check("rel-cijsq", g.pow(c12, 2) == ident and g.pow(c13, 2) == ident)
+        check("rel-cijsq", gpow(c12, 2) == ident and gpow(c13, 2) == ident)
 
     rng = random.Random(seed)
-    pick = lambda: els[rng.randrange(len(els))]
+    randrange, size = rng.randrange, len(els)
+    pick = lambda: els[randrange(size)]
     ok_assoc = all(
-        g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
+        mul(mul(x, y), z) == mul(x, mul(y, z))
         for x, y, z in ((pick(), pick(), pick()) for _ in range(samples))
     )
     check("associativity-sample", ok_assoc)
@@ -621,34 +645,34 @@ def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
     gens = [a1, a2, a3]
     ok_gen = True
     for i, j, l in itertools.product(range(3), repeat=3):
-        lhs = g.comm(g.mul(gens[i], gens[j]), gens[l])
-        cil = g.comm(gens[i], gens[l])
-        cjl = g.comm(gens[j], gens[l])
-        cilj = g.comm(cil, gens[j])
-        if lhs != g.mul(g.mul(cil, cjl), cilj):
+        lhs = comm(mul(gens[i], gens[j]), gens[l])
+        cil = comm(gens[i], gens[l])
+        cjl = comm(gens[j], gens[l])
+        cilj = comm(cil, gens[j])
+        if lhs != mul(mul(cil, cjl), cilj):
             ok_gen = False
-        lhs2 = g.comm(gens[i], g.mul(gens[j], gens[l]))
-        cij = g.comm(gens[i], gens[j])
-        cijl = g.comm(cij, gens[l])
-        if lhs2 != g.mul(g.mul(cij, cil), cijl):
+        lhs2 = comm(gens[i], mul(gens[j], gens[l]))
+        cij = comm(gens[i], gens[j])
+        cijl = comm(cij, gens[l])
+        if lhs2 != mul(mul(cij, cil), cijl):
             ok_gen = False
     check("product-commutator-identities", ok_gen)
 
     def conj(x, y):
-        return g.mul(g.mul(g.inv(y), x), y)
+        return mul(mul(inv(y), x), y)
 
     ok_witt = True
     for _ in range(min(samples, 2000)):
         x, y, z = pick(), pick(), pick()
-        t1 = conj(g.comm(g.comm(x, g.inv(y)), z), y)
-        t2 = conj(g.comm(g.comm(y, g.inv(z)), x), z)
-        t3 = conj(g.comm(g.comm(z, g.inv(x)), y), x)
-        if g.mul(g.mul(t1, t2), t3) != ident:
+        t1 = conj(comm(comm(x, inv(y)), z), y)
+        t2 = conj(comm(comm(y, inv(z)), x), z)
+        t3 = conj(comm(comm(z, inv(x)), y), x)
+        if mul(mul(t1, t2), t3) != ident:
             ok_witt = False
             break
         # Witt congruence mod G'' (trivial here: metabelian groups).
-        w = g.mul(g.mul(g.comm(g.comm(x, y), z), g.comm(g.comm(y, z), x)),
-                  g.comm(g.comm(z, x), y))
+        w = mul(mul(comm(comm(x, y), z), comm(comm(y, z), x)),
+                comm(comm(z, x), y))
         if w != ident:
             ok_witt = False
             break

@@ -9,7 +9,8 @@ arithmetic on fundamental discriminants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import factor, is_fundamental
 from .errors import (
@@ -29,9 +30,11 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    """Integral binary quadratic form a x^2 + b x y + c y^2."""
+class QuadForm(NamedTuple):
+    """Integral binary quadratic form a x^2 + b x y + c y^2.
+
+    A tuple (a, b, c): equality, ordering and hashing are the tuple's.
+    """
 
     a: int
     b: int
@@ -127,21 +130,19 @@ def principal_form(d: int) -> QuadForm:
 # Reduction
 # ---------------------------------------------------------------------------
 
-def _reduce_definite(f: QuadForm) -> QuadForm:
-    d = f.disc
-    a, b, c = f.a, f.b, f.c
+def _reduce_definite(d: int, a: int, b: int, c: int) -> QuadForm:
+    """The reduced form equivalent to (a, b, c) of discriminant d < 0, with
+    -a < b <= a <= c and b >= 0 when a = c (Cohen, Alg. 5.4.2)."""
     if a < 0:
         a, c = -a, -c  # positive definite representative
     while True:
-        if a > c:
-            a, b, c = c, -b, a
-            continue
         if b > a or b <= -a:
-            k = (a - b) // (2 * a)  # shift b into (-a, a]
-            b += 2 * a * k
-            c = (b * b - d) // (4 * a)
-            continue
-        break
+            a2 = 2 * a
+            b += a2 * ((a - b) // a2)  # shift b into (-a, a]
+            c = (b * b - d) // (2 * a2)
+        if a <= c:
+            break
+        a, b, c = c, -b, a
     if b < 0 and a == c:
         b = -b
     return QuadForm(a, b, c)
@@ -175,7 +176,7 @@ def reduce_form(f: QuadForm) -> QuadForm:
     if d == 0 or (d > 0 and _is_square(d)):
         raise SquareDiscriminant(f"discriminant {d} is zero or a square")
     if d < 0:
-        return _reduce_definite(f)
+        return _reduce_definite(d, *f)
     g = f
     while not _is_reduced_indef(d, g):
         g = _rho(d, g)
@@ -197,19 +198,6 @@ def _cycle(d: int, f: QuadForm) -> list[QuadForm]:
 # Composition (negative and positive discriminants alike)
 # ---------------------------------------------------------------------------
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
-
-
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     """Gauss composition; returns a reduced representative of the product class.
 
@@ -218,31 +206,35 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     result is the reduced form that rho-reduction reaches, one form of the
     product's cycle.
     """
-    d = f.disc
-    if d != g.disc:
-        raise DiscriminantMismatch(f"{f.disc} != {g.disc}")
-    if abs(f.a) > abs(g.a):
-        f, g = g, f
-    a1, a2, b2, c2 = f.a, g.a, g.b, g.c
-    s = (f.b + b2) // 2
+    a1, b1, c1 = f
+    a2, b2, c2 = g
+    d = b1 * b1 - 4 * a1 * c1
+    if d != b2 * b2 - 4 * a2 * c2:
+        raise DiscriminantMismatch(f"{d} != {g.disc}")
+    if abs(a1) > abs(a2):
+        a1, b1, a2, b2, c2 = a2, b2, a1, b1, c1
+    s = (b1 + b2) // 2
     n = b2 - s
-    # e = gcd(a1, a2) = y1*a2 + (.)*a1, then d1 = gcd(s, e) = x2*s - y2*e.
-    if a2 % a1 == 0:
-        y1, e = 0, a1
-    else:
-        e, y1, _ = _xgcd(a2, a1)
+    # e = gcd(a1, a2) with y1*a2 = e (mod a1), then d1 = gcd(s, e) = x2*s - y2*e;
+    # the Bezout coefficients are modular inverses.  The product's b3 is
+    # unique modulo 2*a3, so any valid choice gives the same form.
+    e = gcd(a1, a2)
+    y1 = pow(a2 // e, -1, a1 // e)
     if s % e == 0:
         x2, y2, d1 = 0, -1, e
     else:
-        d1, x2, y2 = _xgcd(s, e)
-        y2 = -y2
+        d1 = gcd(s, e)
+        x2 = pow(s // d1, -1, e // d1)
+        y2 = (x2 * s - d1) // e
     v1 = a1 // d1
     v2 = a2 // d1
     r = (y1 * y2 * n - x2 * c2) % v1
     b3 = b2 + 2 * v2 * r
     a3 = v1 * v2
-    h = QuadForm(a3, b3, (b3 * b3 - d) // (4 * a3))
-    return _reduce_definite(h) if d < 0 else reduce_form(h)
+    c3 = (b3 * b3 - d) // (4 * a3)
+    if d < 0:
+        return _reduce_definite(d, a3, b3, c3)
+    return reduce_form(QuadForm(a3, b3, c3))
 
 
 def form_pow(f: QuadForm, k: int) -> QuadForm:
@@ -347,7 +339,7 @@ def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
     while odd % 2 == 0:
         odd //= 2
     h2 = h // odd
-    ident = _reduce_definite(principal_form(d))
+    ident = _reduce_definite(d, *principal_form(d))
     sylow = [ident]
     span = {ident}
     for f in classes:
@@ -464,6 +456,4 @@ def wide_h2(d: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
     h2, _ = two_part(g)
     if fundamental_unit(d).norm == 1:
         h2 //= 2
-        if h2 == 0:
-            h2 = 1
     return max(h2, 1)

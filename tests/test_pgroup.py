@@ -17,6 +17,7 @@ from quadtower.errors import (
 )
 from quadtower.pgroup import (
     GroupParams,
+    _element_orders,
     abelian_type_of,
     abelianization,
     centre,
@@ -291,6 +292,37 @@ def test_maximal_subgroups_by_definition():
         assert len({s.elements for s in subs}) == len(subs)
         rank = (top.order // len(phi)).bit_length() - 1
         assert len(subs) == (1 << rank) - 1
+
+
+def test_cached_inverses_match_fresh_groups():
+    # Every group warms its inverse cache twice over; a freshly built copy
+    # answers each element on its first call, before anything is cached.
+    warmed = _small_groups()
+    for g in warmed:
+        for _ in range(2):
+            for x in g.elements():
+                g.inv(x)
+    for g, fresh in zip(warmed, _small_groups()):
+        for x in g.elements():
+            assert g.inv(x) == fresh.inv(x)
+            assert g.inv(g.inv(x)) == x
+            assert g.mul(x, g.inv(x)) == g.identity
+
+
+def test_warmed_inverse_cache_still_rejects_foreign_elements():
+    g = gamma(2, 2, 1)
+    for x in g.elements():
+        g.inv(x)
+    big = gamma(3, 3, 1)
+    for x in (big.pow(big.a3, 5), big.pow(big.c13, 5), big.mul(big.a1, big.pow(big.a3, 6))):
+        with pytest.raises(GroupMismatch):
+            g.inv(x)
+    assert len(g._inverses) == g.order
+
+
+def test_element_orders_from_squares():
+    for g in _small_groups():
+        assert _element_orders(g) == {x: element_order(g, x) for x in g.elements()}
 
 
 # sha256 of `quadtower --format json group n m eps --report fingerprint` for

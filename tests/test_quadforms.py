@@ -6,6 +6,7 @@ from math import gcd, isqrt
 import pytest
 
 from quadtower.arith import is_fundamental, kronecker, prime_discriminants
+from quadtower.cli import _jsonable
 from quadtower.errors import (
     DiscriminantMismatch,
     InertPrime,
@@ -162,19 +163,21 @@ def _fundamentals(lo, hi):
     return [d for d in range(lo, hi + 1) if d not in (0, 1) and is_fundamental(d)]
 
 
+def _unimodular(x, y):
+    """Complete a primitive column (x, y) to [[x, p], [y, q]] with x q - y p = 1."""
+    if y == 0:
+        return x, 0, y, x
+    q = pow(x, -1, abs(y))
+    return x, (x * q - 1) // y, y, q
+
+
 def _coprime_equivalent(f, m):
     """A form equivalent to f whose leading coefficient f(x, y) is coprime to m."""
     for box in range(1, 65):
         for x in range(-box, box + 1):
             for y in range(-box, box + 1):
                 if gcd(x, y) == 1 and gcd(f.value(x, y), m) == 1:
-                    # Complete (x, y) to [[x, p], [y, q]] with x q - y p = 1.
-                    if y == 0:
-                        p, q = 0, x
-                    else:
-                        q = pow(x, -1, abs(y))
-                        p = (x * q - 1) // y
-                    return f.transform(x, p, y, q)
+                    return f.transform(*_unimodular(x, y))
     raise AssertionError(f"no value of {f} coprime to {m}")
 
 
@@ -254,3 +257,58 @@ def test_reduced_definite_forms_match_double_loop():
                     if _is_reduced_definite(f):
                         naive.append(f)
         assert _reduced_definite_forms(d) == naive, d
+
+
+# ---------------------------------------------------------------------------
+# Seeded property tests of compose, and the QuadForm tuple contract
+# ---------------------------------------------------------------------------
+
+def _random_unreduced(rng, f):
+    """f moved by a random unimodular matrix with entries up to about 30."""
+    while True:
+        x, y = rng.randrange(1, 30), rng.randrange(-30, 31)
+        if gcd(x, y) == 1:
+            return f.transform(*_unimodular(x, y))
+
+
+def test_compose_group_laws_on_random_discriminants():
+    rng = random.Random(20261018)
+    discs = []
+    while len(discs) < 40:
+        d = -rng.randrange(3, 300000)
+        if is_fundamental(d):
+            discs.append(d)
+    for d in discs:
+        classes = class_group(d).classes
+        one = reduce_form(principal_form(d))
+        moved = 0
+        for _ in range(25):
+            f, g, h = (rng.choice(classes) for _ in range(3))
+            fi = reduce_form(QuadForm(f.a, -f.b, f.c))
+            assert compose(one, f) == f == compose(f, one), (d, f)
+            assert compose(f, fi) == one == compose(fi, f), (d, f)
+            assert compose(f, g) == compose(g, f), (d, f, g)
+            assert compose(compose(f, g), h) == compose(f, compose(g, h)), (d, f, g, h)
+            fu, gu = _random_unreduced(rng, f), _random_unreduced(rng, g)
+            moved += fu != f
+            assert fu.disc == d and compose(fu, gu) == compose(f, g), (d, fu, gu)
+            assert reduce_form(fu) == f, (d, fu)
+        assert moved > 20, d
+
+
+def test_quadform_tuple_contract():
+    f = QuadForm(3, -2, 5)
+    assert repr(f) == "QuadForm(a=3, b=-2, c=5)" == str(f)
+    assert (f.a, f.b, f.c) == tuple(f) == (3, -2, 5)
+    assert f.disc == -56 and f.value(1, 1) == 6
+    assert hash(f) == hash((3, -2, 5))
+    forms = [QuadForm(2, 1, 3), QuadForm(1, 1, 5), QuadForm(2, -1, 3), QuadForm(1, 0, 6)]
+    assert sorted(forms) == [
+        QuadForm(1, 0, 6), QuadForm(1, 1, 5), QuadForm(2, -1, 3), QuadForm(2, 1, 3)
+    ]
+    assert _jsonable(f) == [3, -2, 5]
+    assert _jsonable({"forms": {QuadForm(2, 1, 3), QuadForm(1, 1, 5)}}) == {
+        "forms": [[1, 1, 5], [2, 1, 3]]
+    }
+    with pytest.raises(ValueError):
+        f.transform(1, 1, 1, 1)
