@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundExceeded, NotFundamental
+from .errors import BoundExceeded, InvalidArgument, NotFundamental
 
 DEFAULT_FACTOR_BOUND = 1 << 40
 
@@ -73,7 +73,7 @@ def kronecker(a: int, n: int) -> int:
 def factor(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
     """Prime factors of n >= 1 with multiplicity, sorted; trial division."""
     if n < 1:
-        raise ValueError(f"factor requires n >= 1, got {n}")
+        raise InvalidArgument(f"factor requires n >= 1, got {n}")
     if n > bound:
         raise BoundExceeded(f"{n} exceeds factoring bound {bound}")
     out: list[int] = []

@@ -178,9 +178,8 @@ def _group_report(g, kind: str):
         for j, sub in enumerate(pgroup.standard_maximal_subgroups(g), start=1):
             order, _, _ = pgroup.transfer_kernel(top, sub)
             out[f"ker_t{j}_order"] = order
-        h2 = pgroup.subgroup(g, [g.a2, g.a3, g.c12, g.c13])
-        inter = pgroup.subgroup(g, [g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
-        out["ker_H2_to_H1capH2_order"] = pgroup.transfer_kernel(h2, inter)[0]
+        pair = pgroup.capitulation_subgroups(g)
+        out["ker_H2_to_H1capH2_order"] = pgroup.transfer_kernel(*pair)[0]
         return out
     if kind == "lcs":
         return [term.order for term in pgroup.lower_central_series(g)]
@@ -336,9 +335,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args, config)
     except QuadTowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

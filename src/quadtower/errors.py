@@ -5,6 +5,11 @@ class QuadTowerError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidArgument(QuadTowerError, ValueError):
+    """Argument outside the function's domain, such as an empty scan range;
+    also a ValueError."""
+
+
 class BoundExceeded(QuadTowerError):
     """Input exceeds a configured enumeration or factoring bound."""
 

@@ -2,15 +2,17 @@
 transfer, quotient, and fingerprint machinery.
 
 Elements are 5-exponent normal forms a1^e1 a2^e2 a3^e3 c12^f1 c13^f2, with
-multiplication by collection.  A subgroup is its member set together with a
-generating set of at most log2 of its order elements; derived and Frattini
-subgroups and lower central terms are normal closures of a few commutators
-and squares of those generators, and maximal subgroups come from a Burnside
-basis of h/Phi(h).  PGroup and the quotient groups share one protocol:
-elements(), gens(), mul, inv and identity, with pow and comm from _Group.  All
-operations are exact and exhaustive; PGroup refuses orders above 2^16
-(MAX_ORDER_LOG2) with BoundExceeded before building any element, and caches
-each inverse it has computed, at most one per element.
+multiplication by collection.  Every subgroup carries a generating set of
+at most log2 of its order elements, and every span grows by one step: a new
+generator extends a subgroup by the right cosets it adds (Dimino).  Derived
+and Frattini subgroups and lower central terms are normal closures of a few
+commutators and squares of those generators, and maximal subgroups come from
+a Burnside basis of h/Phi(h).  One coset map, `cosets`, serves abelian
+invariants, transfer kernels and quotients.  PGroup and the quotient groups
+share one protocol: elements(), gens(), mul, inv and identity, with pow and
+comm from _Group.  All operations are exact and exhaustive; PGroup refuses
+orders above 2^16 (MAX_ORDER_LOG2) with BoundExceeded before building any
+element, and caches each inverse it has computed, at most one per element.
 """
 
 from __future__ import annotations
@@ -175,13 +177,9 @@ class TableGroup(_Group):
 
     def __init__(self, group, N: Subgroup):
         self._group = group
-        self._coset_of = {}
-        self._rep = {}
-        for x in group.elements():
-            if x not in self._coset_of:
-                cs = frozenset(group.mul(x, w) for w in N.elements)
-                self._coset_of.update(dict.fromkeys(cs, cs))
-                self._rep[cs] = x
+        reps = cosets(group, group.elements(), N.elements)
+        self._rep = {cs: x for x, cs in reps.items()}
+        self._coset_of = {x: cs for cs in self._rep for x in cs}
         self.identity = self._coset_of[group.identity]
         self.order = len(self._rep)
 
@@ -214,7 +212,7 @@ def gamma4r(n: int) -> PGroup:
 class Subgroup:
     group: object
     elements: frozenset
-    generators: tuple = ()
+    generators: tuple
 
     @property
     def order(self) -> int:
@@ -224,55 +222,58 @@ class Subgroup:
         return x in self.elements
 
 
+def _extend(sub: Subgroup, x) -> Subgroup:
+    """<sub, x> as the union of the right cosets S r of S = sub whose
+    representatives r are closed under right multiplication by the
+    generators (Dimino; Butler, Fundamental Algorithms for Permutation
+    Groups, 1991).  S must be spanned by its generators."""
+    g = sub.group
+    gens = sub.generators + (x,)
+    reps = [g.identity]
+    span = set(sub.elements)
+    for r in reps:
+        for y in gens:
+            ry = g.mul(r, y)
+            if ry not in span:
+                reps.append(ry)
+                span.update(g.mul(s, ry) for s in sub.elements)
+    return Subgroup(g, frozenset(span), gens)
+
+
+def subgroup(group, seeds, conj_gens=()) -> Subgroup:
+    """The subgroup generated by `seeds` and closed under conjugation by
+    `conj_gens` (the normal closure when they generate the ambient group).
+    A seed or conjugate becomes a generator, and extends the span by one
+    coset step, only when it falls outside the span so far; each one at
+    least doubles the span, so there are at most log2 of the order
+    generators."""
+    conj_by = [(group.inv(y), y) for y in conj_gens]
+    sub = Subgroup(group, frozenset({group.identity}), ())
+    todo = list(seeds)
+    while todo:
+        x = todo.pop()
+        if x in sub.elements:
+            continue
+        sub = _extend(sub, x)
+        todo.extend(group.mul(group.mul(yi, x), y) for yi, y in conj_by)
+    return sub
+
+
 def closure(group, gens) -> frozenset:
-    seen = {group.identity}
-    frontier = [group.identity]
-    gens = [g for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
-
-
-def subgroup(group, gens) -> Subgroup:
-    return Subgroup(group, closure(group, gens), tuple(gens))
+    return subgroup(group, gens).elements
 
 
 def whole_group(group) -> Subgroup:
     return Subgroup(group, frozenset(group.elements()), tuple(group.gens()))
 
 
-def _generated(group, seeds, conj_gens=()) -> Subgroup:
-    """The subgroup generated by `seeds` and closed under conjugation by
-    `conj_gens` (the normal closure when they generate the ambient group).
-    A seed or conjugate becomes a generator, and the span is re-closed, only
-    when it falls outside the span so far; each one at least doubles the
-    span, so there are at most log2 of the order generators."""
-    conj_by = [(group.inv(y), y) for y in conj_gens]
-    gens = []
-    span = frozenset({group.identity})
-    todo = list(seeds)
-    while todo:
-        x = todo.pop()
-        if x in span:
-            continue
-        gens.append(x)
-        span = closure(group, gens)
-        todo.extend(group.mul(group.mul(yi, x), y) for yi, y in conj_by)
-    return Subgroup(group, span, tuple(gens))
-
-
 def _normalizes(group, conj_gens, sub: Subgroup) -> bool:
     """Whether y^-1 x y lies in sub for every y in conj_gens and every x in
-    sub's generators (its members when it has none)."""
+    sub's generators."""
     members = sub.elements
     for y in conj_gens:
         yi = group.inv(y)
-        for x in sub.generators or members:
+        for x in sub.generators:
             if group.mul(group.mul(yi, x), y) not in members:
                 return False
     return True
@@ -283,9 +284,9 @@ def derived_subgroup(h: Subgroup) -> Subgroup:
     of its generators (Holt, Eick and O'Brien, Handbook of Computational
     Group Theory, 3.3), certified by a normality and commutativity check."""
     g = h.group
-    gens = h.generators or _generated(g, h.elements).generators
+    gens = h.generators
     comms = [g.comm(x, y) for x, y in itertools.combinations(gens, 2)]
-    der = _generated(g, comms, gens)
+    der = subgroup(g, comms, gens)
     # Certificate that der really is [h, h]: der must be normal in h and
     # h/der abelian; together with der <= [h,h] this forces equality.
     if not _normalizes(g, gens, der):
@@ -301,17 +302,17 @@ def frattini_subgroup(h: Subgroup) -> Subgroup:
     """Frattini subgroup of a 2-group, h^2 [h, h]: the normal closure of the
     squares and pairwise commutators of h's generators."""
     g = h.group
-    gens = h.generators or _generated(g, h.elements).generators
+    gens = h.generators
     seeds = [g.mul(x, x) for x in gens]
     seeds += [g.comm(x, y) for x, y in itertools.combinations(gens, 2)]
-    return _generated(g, seeds, gens)
+    return subgroup(g, seeds, gens)
 
 
 def centre(group) -> Subgroup:
     els = group.elements()
     gens = group.gens()
     cen = [x for x in els if all(group.mul(x, g) == group.mul(g, x) for g in gens)]
-    return _generated(group, cen)
+    return subgroup(group, cen)
 
 
 def element_order(group, x) -> int:
@@ -331,7 +332,7 @@ def lower_central_series(group) -> list[Subgroup]:
     while True:
         cur = series[-1]
         comms = [group.comm(x, g) for x in cur.generators for g in gens]
-        nxt = _generated(group, comms, gens)
+        nxt = subgroup(group, comms, gens)
         series.append(nxt)
         if nxt.order == 1:
             return series
@@ -344,16 +345,16 @@ def abelian_type_of(h: Subgroup, modulo: Subgroup | None = None) -> AbelianType:
     g = h.group
     nelems = h.elements
     if modulo is None:
-        modulo = Subgroup(g, frozenset({g.identity}))
+        modulo = subgroup(g, ())
     nset = modulo.elements
     if not nset <= nelems:
         raise NotNormal("modulo is not contained in the subgroup")
-    if not _normalizes(g, h.generators or nelems, modulo):
+    if not _normalizes(g, h.generators, modulo):
         raise NotNormal("modulo is not normal in the subgroup")
-    reps = coset_reps(g, nelems, nset)
+    reps = list(cosets(g, nelems, nset))
     # With modulo normal in h, h/modulo is abelian iff h's generators commute
     # modulo it.
-    for x, y in itertools.combinations(h.generators or reps, 2):
+    for x, y in itertools.combinations(h.generators, 2):
         if g.comm(x, y) not in nset:
             raise NonAbelianQuotient("quotient is not abelian")
     # counts[j] = number of cosets xN with x^(2^j) in N.
@@ -366,15 +367,18 @@ def abelian_type_of(h: Subgroup, modulo: Subgroup | None = None) -> AbelianType:
     return abelian_type_from_counts(counts)
 
 
-def coset_reps(group, elements: frozenset, nset: frozenset) -> list:
-    reps = []
+def cosets(group, elements, nset: frozenset) -> dict:
+    """The left cosets x N of N = nset that meet `elements`, each keyed by
+    its least member in `elements`: a partition of `elements` when it is a
+    union of cosets."""
+    out = {}
     seen = set()
     for x in sorted(elements):
-        if x in seen:
-            continue
-        reps.append(x)
-        seen.update(group.mul(x, w) for w in nset)
-    return reps
+        if x not in seen:
+            cs = frozenset(group.mul(x, w) for w in nset)
+            seen.update(cs)
+            out[x] = cs
+    return out
 
 
 def abelianization(group) -> AbelianType:
@@ -397,14 +401,12 @@ def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
     g = h.group
     phi = frattini_subgroup(h)
     basis = []
-    span = phi.elements
-    for x in h.generators or _generated(g, h.elements).generators:
-        if x not in span:
-            # span contains Phi(h), so it is normal in h and x^2 lies in it:
-            # <span, x> = span u span x.
+    span = phi
+    for x in h.generators:
+        if x not in span.elements:
             basis.append(x)
-            span = span | {g.mul(y, x) for y in span}
-    if span != h.elements:
+            span = _extend(span, x)
+    if span.elements != h.elements:
         raise RankMismatch("Burnside basis does not span the subgroup")
     out = []
     for w in range(1, 1 << len(basis)):
@@ -415,22 +417,22 @@ def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
                 seeds.append(b)
             elif j != i0:
                 seeds.append(g.mul(basis[i0], b))
-        sub = _generated(g, seeds)
+        sub = subgroup(g, seeds)
         if 2 * sub.order != h.order:
             raise RankMismatch("hyperplane preimage does not have index 2")
         out.append(sub)
     return out
 
 
-def standard_maximal_subgroups(g: PGroup) -> list[Subgroup]:
-    """The seven maximal subgroups H_1..H_7 in the standard labeling by
-    generator patterns: H_1 = <a1,a2,a3^2,c13,c12>, H_2 = <a2,a3,...>,
+def _standard_generators(g: PGroup) -> list[list[Element]]:
+    """Generators of H_1..H_7 in the standard labeling by generator
+    patterns: H_1 = <a1,a2,a3^2,c13,c12>, H_2 = <a2,a3,...>,
     H_3 = <a1a3,a2,...>, H_4 = <a1,a3,...>, H_5 = <a1a2,a3,...>,
     H_6 = <a2a3,a1,...>, H_7 = <a1a2,a2a3,...>."""
     a1, a2, a3 = g.a1, g.a2, g.a3
     sq = g.mul(a3, a3)
     tail = [g.c12, g.c13]
-    gen_lists = [
+    return [
         [a1, a2, sq] + tail,
         [a2, a3] + tail,
         [g.mul(a1, a3), a2] + tail,
@@ -439,11 +441,32 @@ def standard_maximal_subgroups(g: PGroup) -> list[Subgroup]:
         [g.mul(a2, a3), a1] + tail,
         [g.mul(a1, a2), g.mul(a2, a3)] + tail,
     ]
-    subs = [subgroup(g, gl) for gl in gen_lists]
+
+
+def standard_maximal_subgroups(g: PGroup) -> list[Subgroup]:
+    """The seven maximal subgroups H_1..H_7 in the standard labeling (see
+    _standard_generators)."""
+    subs = [subgroup(g, gl) for gl in _standard_generators(g)]
     half = g.order // 2
     if any(s.order != half for s in subs) or len({s.elements for s in subs}) != 7:
         raise RankMismatch("standard maximal subgroups are not the 7 expected")
     return subs
+
+
+def capitulation_subgroups(g: PGroup) -> tuple[Subgroup, Subgroup]:
+    """H_2 and H_1 cap H_2 = <a2,a3^2,c12,c13>: the transfer from H_2 to the
+    intersection has a kernel of order 8 for eps = 0 and 4 for eps = 1
+    (capitulation in K/k(sqrt(p)))."""
+    h1, h2 = (subgroup(g, gl) for gl in _standard_generators(g)[:2])
+    inter = subgroup(g, [g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
+    if not (inter.elements <= h1.elements and inter.elements <= h2.elements):
+        raise StructureMismatch("H1 and H2 intersection subgroup mismatch")
+    return h2, inter
+
+
+def genus_subgroup(g: PGroup) -> Subgroup:
+    """<a3^2, c13, c12>, the subgroup fixing the genus field."""
+    return subgroup(g, [g.mul(g.a3, g.a3), g.c13, g.c12])
 
 
 def subgroups_of_index4(group) -> list[tuple[Subgroup, bool]]:
@@ -484,7 +507,8 @@ def _transfer_values(K: Subgroup, H: Subgroup, xs, z=None) -> list:
 def transfer(K: Subgroup, H: Subgroup, x, z=None) -> frozenset:
     """Transfer value t_{K,H}(xK') as a coset of H' in H, for (K:H) = 2."""
     (val,) = _transfer_values(K, H, [x], z)
-    return frozenset(K.group.mul(val, w) for w in derived_subgroup(H).elements)
+    (coset,) = cosets(K.group, [val], derived_subgroup(H).elements).values()
+    return coset
 
 
 def transfer_kernel(K: Subgroup, H: Subgroup):
@@ -496,10 +520,10 @@ def transfer_kernel(K: Subgroup, H: Subgroup):
     g = K.group
     kprime = derived_subgroup(K)
     hprime = derived_subgroup(H).elements
-    reps = coset_reps(g, K.elements, kprime.elements)
+    kcosets = cosets(g, K.elements, kprime.elements)
     kernel = {
-        frozenset(g.mul(rep, w) for w in kprime.elements)
-        for rep, val in zip(reps, _transfer_values(K, H, reps))
+        coset
+        for coset, val in zip(kcosets.values(), _transfer_values(K, H, kcosets))
         if val in hprime
     }
     return len(kernel), kernel, kprime

@@ -17,6 +17,7 @@ from .errors import (
     BoundExceeded,
     DiscriminantMismatch,
     InertPrime,
+    InvalidArgument,
     NotFundamental,
     SquareDiscriminant,
     StructureMismatch,
@@ -50,7 +51,7 @@ class QuadForm(NamedTuple):
     def transform(self, x: int, p: int, y: int, q: int) -> "QuadForm":
         """Act by the unimodular matrix [[x, p], [y, q]] on the right."""
         if x * q - y * p != 1:
-            raise ValueError("matrix is not unimodular")
+            raise InvalidArgument("matrix is not unimodular")
         a, b, c = self.a, self.b, self.c
         a2 = self.value(x, y)
         c2 = self.value(p, q)
@@ -67,9 +68,9 @@ class AbelianType:
     def __post_init__(self) -> None:
         for i, p in enumerate(self.parts):
             if p < 2 or p & (p - 1):
-                raise ValueError(f"part {p} is not a 2-power >= 2")
+                raise InvalidArgument(f"part {p} is not a 2-power >= 2")
             if i and self.parts[i - 1] < p:
-                raise ValueError("parts must be nonincreasing")
+                raise InvalidArgument("parts must be nonincreasing")
 
     @classmethod
     def of(cls, *parts: int) -> "AbelianType":

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import factor, is_fundamental, kronecker
 from .errors import (
+    InvalidArgument,
     NotFundamental,
     NotImaginary,
     StructureMismatch,
@@ -26,12 +27,13 @@ from .pgroup import (
     GroupParams,
     abelian_type_of,
     abelianization,
+    capitulation_subgroups,
     derived_subgroup,
     gamma,
     gamma4r,
+    genus_subgroup,
     in_transfer_kernel,
     standard_maximal_subgroups,
-    subgroup,
     transfer_kernel,
     whole_group,
 )
@@ -146,14 +148,16 @@ def invariants(
     d: int, bound: int = DEFAULT_ENUM_BOUND
 ) -> tuple[int, int, int]:
     """(n, m, mu) with 2^n = h2(k)/4 and 2^m = 2^mu = h2 of Q(sqrt(-p))."""
-    cls = classify(d)
-    return _invariants_for(cls, bound)[:3]
+    report, _ = _invariants_for(classify(d), bound)
+    return report.n, report.m, report.mu
 
 
 def _invariants_for(
     cls: FieldClassification, bound: int
-) -> tuple[int, int, int, int, int, ClassGroup]:
-    """(n, m, mu, h2_k, h2_minus4p, Cl(k)) for an already-classified field."""
+) -> tuple[TowerReport, ClassGroup]:
+    """The report without checks of an already-classified field, with its
+    predicted group (Gamma_{n,m,1} for Type4p, Gamma_n^(4r) for Type4r),
+    and Cl(k)."""
     if cls.kind not in (TYPE_4P, TYPE_4R):
         raise UnsupportedKind(f"{cls.d} is {cls.kind}")
     p = cls.primes[0]
@@ -171,14 +175,13 @@ def _invariants_for(
             f"Cl_2({-4 * p}) has type {typ_p}, expected cyclic"
         )
     m = h2_p.bit_length() - 1
-    return n, m, m, h2_k, h2_p, group
-
-
-def _predicted_group(cls: FieldClassification, n: int, m: int) -> GroupParams:
-    """Gamma_{n,m,1} for a Type4p field, Gamma_n^(4r) for a Type4r field."""
     if cls.kind == TYPE_4P:
-        return GroupParams(n=n, m=m, eps=1, family="Gamma")
-    return GroupParams(n=n, m=1, eps=1, family="Gamma4r")
+        predicted = GroupParams(n=n, m=m, eps=1, family="Gamma")
+    else:
+        predicted = GroupParams(n=n, m=1, eps=1, family="Gamma4r")
+    report = TowerReport(classification=cls, n=n, m=m, mu=m, predicted_group=predicted,
+                         h2_k=h2_k, h2_minus4p=h2_p)
+    return report, group
 
 
 def corollary2_closed_forms(n: int, m: int) -> dict[str, AbelianType]:
@@ -211,7 +214,7 @@ def corollary2_engine(n: int, m: int, eps: int = 1) -> dict[str, AbelianType]:
         f"H{j}": abelian_type_of(sub, derived_subgroup(sub))
         for j, sub in enumerate(subs, start=1)
     }
-    hgen = subgroup(g, [g.mul(g.a3, g.a3), g.c13, g.c12])
+    hgen = genus_subgroup(g)
     out["Hgen"] = abelian_type_of(hgen, derived_subgroup(hgen))
     out["Gprime"] = abelian_type_of(derived_subgroup(whole_group(g)))
     return out
@@ -220,10 +223,10 @@ def corollary2_engine(n: int, m: int, eps: int = 1) -> dict[str, AbelianType]:
 def predict(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     """Predicted Galois group of the 2-class field tower, with the
     intermediate-field table computed two ways (closed form vs engine)."""
-    cls = classify(d)
-    n, m, mu, h2_k, h2_p, _ = _invariants_for(cls, bound)
+    report, _ = _invariants_for(classify(d), bound)
+    n, m = report.n, report.m
     checks: list[Check] = []
-    if cls.kind == TYPE_4P:
+    if report.classification.kind == TYPE_4P:
         closed = corollary2_closed_forms(n, m)
         engine = corollary2_engine(n, m)
         for key in sorted(closed):
@@ -244,16 +247,7 @@ def predict(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
                 abelian_type_of(derived_subgroup(whole_group(g))),
             )
         )
-    return TowerReport(
-        classification=cls,
-        n=n,
-        m=m,
-        mu=mu,
-        predicted_group=_predicted_group(cls, n, m),
-        checks=tuple(checks),
-        h2_k=h2_k,
-        h2_minus4p=h2_p,
-    )
+    return replace(report, checks=tuple(checks))
 
 
 def _h2_of_disc(dd: int, bound: int) -> int:
@@ -265,7 +259,9 @@ def _h2_of_disc(dd: int, bound: int) -> int:
 def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     """Cross-check the class-field side against the group engine for one field."""
     cls = classify(d)
-    n, m, mu, h2_k, h2_p, group = _invariants_for(cls, bound)
+    report, group = _invariants_for(cls, bound)
+    n, m, mu = report.n, report.m, report.mu
+    h2_k, h2_p = report.h2_k, report.h2_minus4p
     p, q, qp = cls.primes
     checks: list[Check] = []
 
@@ -284,9 +280,9 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     h2s = {d: h2_k, -4 * p: h2_p}
     lemma_cases = [(1, (q, p))] if cls.kind == TYPE_4P else []
     for case, primes in lemma_cases + [(2, (p, q, qp))]:
-        report = lemma1_check(case, primes, bound)
-        h2s[report.discriminant] = report.h2
-        checks.append(Check(f"lemma1-case{case}", True, report.ok))
+        lemma = lemma1_check(case, primes, bound)
+        h2s[lemma.discriminant] = lemma.h2
+        checks.append(Check(f"lemma1-case{case}", True, lemma.ok))
 
     if cls.kind == TYPE_4P:
         # Seven-extension class numbers: Kuroda's formula on the actual
@@ -302,7 +298,7 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
 
         # Genus field order: (1/4) h2(k) h2(-p), closed form, engine subgroup.
         g = gamma(n, m, 1)
-        hgen = subgroup(g, [g.mul(g.a3, g.a3), g.c13, g.c12])
+        hgen = genus_subgroup(g)
         checks.append(
             Check("genus-field-h2", genus_field_h2(n, mu), (h2_k * h2_p) // 4)
         )
@@ -331,25 +327,10 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
                     )
 
         # Capitulation of order 4 in K/k(sqrt(p)) forces eps = 1.
-        h1, h2sub = subs[0], subs[1]
-        inter = subgroup(
-            g, [g.a2, g.mul(g.a3, g.a3), g.c12, g.c13]
-        )
-        if not (inter.elements <= h1.elements and inter.elements <= h2sub.elements):
-            raise StructureMismatch("H1 and H2 intersection subgroup mismatch")
-        order, _, _ = transfer_kernel(h2sub, inter)
+        order, _, _ = transfer_kernel(*capitulation_subgroups(g))
         checks.append(Check("capitulation-order-4", 4, order))
 
-    return TowerReport(
-        classification=cls,
-        n=n,
-        m=m,
-        mu=mu,
-        predicted_group=_predicted_group(cls, n, m),
-        checks=tuple(checks),
-        h2_k=h2_k,
-        h2_minus4p=h2_p,
-    )
+    return replace(report, checks=tuple(checks))
 
 
 def _scan_chunk(args: tuple[int, int, int]) -> list[TowerReport]:
@@ -365,20 +346,8 @@ def _scan_chunk(args: tuple[int, int, int]) -> list[TowerReport]:
     out = []
     for d in range(hi - (hi - 12) % 16, lo - 1, -16):
         cls = _try_4pqr(d)
-        if cls is None:
-            continue
-        n, m, mu, h2_k, h2_p, _ = _invariants_for(cls, bound)
-        out.append(
-            TowerReport(
-                classification=cls,
-                n=n,
-                m=m,
-                mu=mu,
-                predicted_group=_predicted_group(cls, n, m),
-                h2_k=h2_k,
-                h2_minus4p=h2_p,
-            )
-        )
+        if cls is not None:
+            out.append(_invariants_for(cls, bound)[0])
     return out
 
 
@@ -395,7 +364,7 @@ def scan(
     capped at the number of CPUs.
     """
     if not (lo < hi <= -1):
-        raise ValueError(f"need lo < hi <= -1, got [{lo}, {hi}]")
+        raise InvalidArgument(f"need lo < hi <= -1, got [{lo}, {hi}]")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _scan_chunk((lo, hi, bound))

@@ -18,7 +18,9 @@ from .pgroup import (
     PGroup,
     Subgroup,
     abelian_type_of,
+    capitulation_subgroups,
     closure,
+    cosets,
     derived_subgroup,
     distinguish,
     gamma,
@@ -175,9 +177,7 @@ def _expected_kernel_gens(g: PGroup, n: int) -> dict[int, list]:
 
 def _cosets_of(g: PGroup, gens: list, nset: frozenset) -> frozenset:
     span = closure(g, list(gens) + sorted(nset))
-    return frozenset(
-        frozenset(g.mul(x, w) for w in nset) for x in span
-    )
+    return frozenset(cosets(g, span, nset).values())
 
 
 def criterion_tables(points=((2, 2), (3, 2))) -> CriterionResult:
@@ -207,7 +207,7 @@ def criterion_tables(points=((2, 2), (3, 2))) -> CriterionResult:
                 sub = subs[j - 1]
                 hprime = derived_subgroup(sub).elements
                 for gen, expected in zip(arguments, values[j]):
-                    coset = frozenset(g.mul(expected, w) for w in hprime)
+                    (coset,) = cosets(g, [expected], hprime).values()
                     res.checks.append(
                         Check(f"t{j}{tag}", sorted(coset), sorted(transfer(top, sub, gen)))
                     )
@@ -227,10 +227,8 @@ def criterion_capitulation(grid: int | None = None) -> CriterionResult:
     res = CriterionResult(4, "capitulation-kernel")
     for n, m in grid_points(grid):
         for eps in (0, 1):
-            g = gamma(n, m, eps)
-            h2 = subgroup(g, [g.a2, g.a3, g.c12, g.c13])
-            inter = subgroup(g, [g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
-            order, _, _ = transfer_kernel(h2, inter)
+            pair = capitulation_subgroups(gamma(n, m, eps))
+            order, _, _ = transfer_kernel(*pair)
             res.checks.append(
                 Check(f"kernel-order({n},{m},{eps})", 8 if eps == 0 else 4, order)
             )

@@ -121,6 +121,7 @@ def test_input_error_exit1(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "scan", "-1", "-10")
     assert code == 1
+    assert "error:" in err
 
 
 def test_group_order_limit_exit1(capsys, monkeypatch):

@@ -17,11 +17,14 @@ from quadtower.errors import (
 )
 from quadtower.pgroup import (
     GroupParams,
+    PGroup,
     _element_orders,
     abelian_type_of,
     abelianization,
+    capitulation_subgroups,
     centre,
     closure,
+    cosets,
     derived_subgroup,
     distinguish,
     element_order,
@@ -29,6 +32,7 @@ from quadtower.pgroup import (
     frattini_subgroup,
     gamma,
     gamma4r,
+    genus_subgroup,
     lower_central_series,
     maximal_subgroups,
     quotient_group,
@@ -41,6 +45,21 @@ from quadtower.pgroup import (
     whole_group,
 )
 from quadtower.quadforms import AbelianType
+
+
+def _reference_closure(group, gens) -> frozenset:
+    """The span of gens by breadth-first search from the identity: the
+    reference the package's coset-step spans are checked against."""
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = group.mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
 
 
 def test_params_validation():
@@ -117,7 +136,7 @@ def test_abelianization_and_derived():
         assert abelianization(g) == AbelianType.of(1 << n, 2, 2)
         der = derived_subgroup(whole_group(g))
         assert abelian_type_of(der) == AbelianType.of(1 << m, 2)
-        assert der.elements == closure(g, [g.c12, g.c13])
+        assert der.elements == _reference_closure(g, [g.c12, g.c13])
 
 
 def test_frattini_index_is_8():
@@ -129,9 +148,9 @@ def test_lower_central_series_terms():
     g = gamma(2, 3, 0)
     series = lower_central_series(g)
     assert series[0].order == g.order
-    assert series[1].elements == closure(g, [g.c12, g.c13])
-    assert series[2].elements == closure(g, [g.pow(g.c13, 2)])
-    assert series[3].elements == closure(g, [g.pow(g.c13, 4)])
+    assert series[1].elements == _reference_closure(g, [g.c12, g.c13])
+    assert series[2].elements == _reference_closure(g, [g.pow(g.c13, 2)])
+    assert series[3].elements == _reference_closure(g, [g.pow(g.c13, 4)])
     assert series[-1].order == 1
 
 
@@ -248,7 +267,7 @@ def _commutators_of_all_pairs(sub):
 
 
 def _assert_small_generating_set(sub):
-    assert closure(sub.group, sub.generators) == sub.elements
+    assert _reference_closure(sub.group, sub.generators) == sub.elements
     assert 1 << len(sub.generators) <= sub.order
 
 
@@ -266,16 +285,46 @@ def test_subgroups_against_definitions():
             _assert_small_generating_set(sub)
             der = derived_subgroup(sub)
             _assert_small_generating_set(der)
-            assert der.elements == closure(g, _commutators_of_all_pairs(sub))
+            assert der.elements == _reference_closure(g, _commutators_of_all_pairs(sub))
         phi = frattini_subgroup(top)
         _assert_small_generating_set(phi)
-        assert phi.elements == closure(g, {g.mul(x, x) for x in top.elements})
+        assert phi.elements == _reference_closure(g, {g.mul(x, x) for x in top.elements})
         _assert_small_generating_set(centre(g))
         series = lower_central_series(g)
         for cur, nxt in zip(series, series[1:]):
             _assert_small_generating_set(nxt)
             expected = {g.comm(x, y) for x in cur.elements for y in top.elements}
-            assert nxt.elements == closure(g, expected)
+            assert nxt.elements == _reference_closure(g, expected)
+
+
+def test_named_subgroups_are_spans_of_their_generators():
+    # test_subgroups_against_definitions checks the maximal, index-4,
+    # derived, Frattini, lower central and central subgroups the same way;
+    # these are the paper's named subgroups and plain spans of two elements.
+    for g in _small_groups():
+        if isinstance(g, PGroup):
+            named = standard_maximal_subgroups(g) + list(capitulation_subgroups(g))
+            for sub in named + [genus_subgroup(g)]:
+                _assert_small_generating_set(sub)
+                _assert_small_generating_set(derived_subgroup(sub))
+        for seeds in itertools.combinations(g.elements()[1::9], 2):
+            assert closure(g, seeds) == _reference_closure(g, seeds)
+
+
+def test_cosets_partition_into_equal_disjoint_cosets():
+    for g in _small_groups():
+        top = whole_group(g)
+        for sub, _ in subgroups_of_index4(g):
+            for h in (top, sub):
+                for nrm in [subgroup(g, [])] + lower_central_series(g) + [sub]:
+                    if not nrm.elements <= h.elements:
+                        continue
+                    parts = cosets(g, h.elements, nrm.elements)
+                    assert len(parts) * nrm.order == h.order
+                    assert all(len(cs) == nrm.order for cs in parts.values())
+                    assert set().union(*parts.values()) == h.elements
+                    for x, cs in parts.items():
+                        assert x in cs and cs == {g.mul(x, w) for w in nrm.elements}
 
 
 def test_maximal_subgroups_by_definition():
@@ -284,7 +333,7 @@ def test_maximal_subgroups_by_definition():
     # are 2^r - 1 of them for |h/Phi(h)| = 2^r.
     for g in _small_groups():
         top = whole_group(g)
-        phi = closure(g, {g.mul(x, x) for x in top.elements})
+        phi = _reference_closure(g, {g.mul(x, x) for x in top.elements})
         subs = maximal_subgroups(top)
         for sub in subs:
             assert phi <= sub.elements
@@ -352,3 +401,62 @@ def test_fingerprint_json_unchanged(capsys, n, m, eps):
     assert main(argv + ["--report", "fingerprint"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FINGERPRINT_SHA256[n, m, eps]
+
+
+# sha256 of `quadtower --format json group n m eps --report subgroups` and
+# `--report transfers` for n + m <= 5, recorded before the subgroup and coset
+# machinery moved to coset-step spans and one coset map.
+SUBGROUPS_SHA256 = {
+    (1, 1, 0): "723837b6537e0e1cecaa3e479600efe4ddd7f5fa12d87f9159745604dbfd9276",
+    (1, 1, 1): "16dfe39d52e315096c7edc5c702a4157f3ebf09ad7a7ccf4b8abeeb036a86f78",
+    (1, 2, 0): "3b5596c9734e423953d9c3e01e4de796156a6a6453a374b18f3a7a9071c8b36d",
+    (1, 2, 1): "2099d9b890fff1f094ba2c9886351437b2e985809823d69bb2a81cc1f1546738",
+    (2, 1, 0): "67f8c011bb185d72919e5dfb20fbf2050bf3e3c4ac1962fdc00ee3c7699c4b44",
+    (2, 1, 1): "553dfeae14b74d72d153a51502fc02028ff487526c8151ca07668f719b4f150d",
+    (1, 3, 0): "dc5b123078469b24de8063833918eadf6b7732ee806bcc26d34b5f844ba52d3a",
+    (1, 3, 1): "3e5f71d3ae88ad420bd5e77a9f3a7f7ab32dae08633583e461f2b8413de15275",
+    (2, 2, 0): "793da37c7349036937d43395fd74d870ee5bbe72caa33e6064edc0beb697e711",
+    (2, 2, 1): "63205dcf56cbbc79092e2bbc287124f1288e7f504b5cd9b8414ddb47449ef2b2",
+    (3, 1, 0): "6efc21ac7d73041a8f88181a847b3836242f05aec84647f7f01aea2c47370f9b",
+    (3, 1, 1): "ca4cc954047060e05123a18bc35ee594c4411605448f1cdc5af5cc9a1fe5255e",
+    (1, 4, 0): "3d4983bab2be0b45c2a081894d88b82f6688ba7ab019e49f6f5e311336e4297b",
+    (1, 4, 1): "78b3b59293f5a2638122fb851ef76e24f98857bf2f41f94eb0060979470d5dd3",
+    (2, 3, 0): "7ee85225c5f9d144bfe4dcd503b2d60565831782e454877c5b48984d4d40f867",
+    (2, 3, 1): "f02c26be0cee3dc3b33d23fc4bff2bd753d180f9dbbfdb764c2d0a741986e6bb",
+    (3, 2, 0): "c653b8dbb3fb713cf69a146256f65aeb9f20c60882f1dee8f242972755b6c2fa",
+    (3, 2, 1): "9436e85bf90220c8938273d48d1eaf601c25f467687f5b7a98b8e0754a5589fb",
+    (4, 1, 0): "1042473926309168ccf6779cefa83b0ecf9755772f32be9b8794e5943fb027cf",
+    (4, 1, 1): "2d30017cbc95b93a1d60aab2ce9f8db831ea4358775b86b8aab250cf7d4d167e",
+}
+TRANSFERS_SHA256 = {
+    (1, 1, 0): "62e5ffb42532a4f82c91cc1488b1718a39a8b55c4b4368ca69eb2b16d8846667",
+    (1, 1, 1): "9fac6641df60149cf0203d04d5f1ef96696318c6ee22b72d6ed7385b4a5c54fa",
+    (1, 2, 0): "4921eed0b6a3a4d31ac7ff6103791f5f192996865b5bd7ac6d6e50af99777da0",
+    (1, 2, 1): "2bed8f04d2a98fee97488b29fd5e1ee142291a0e72115bc02c14e85cd1f1d6c2",
+    (2, 1, 0): "e9db3e6ef35ec19a3ac1d900cc2a6ff2f8ed40cd09c7c4e8054036df52c2dfcf",
+    (2, 1, 1): "63d4f4d417a2794ef2bc22ff27e7fa53b7dccc77cfee9d8fa387463080ab6444",
+    (1, 3, 0): "813405ff2efd496c3eaccc8df33297bcfb03108d8acf6fce14df8c4329d94dd0",
+    (1, 3, 1): "1ceb8939633dfae499488ee0a332a2588316d13adb90768e0e8ca77c984cf677",
+    (2, 2, 0): "cf19e6143553e23864de9eace16004d541507629765e20b03889d42deb59bca7",
+    (2, 2, 1): "bff5ce18fad4ccdaa3d18365ac9e758fdf501d607cf328c33854bae3a4ab2891",
+    (3, 1, 0): "bddb1776eace74fc4208ba765d1c14bd7f70de96f34616056c757459909fb2b9",
+    (3, 1, 1): "a9603803ddf5af96ac7e6d1b881240255e9fcc236e7690bdfb0608a652c1c836",
+    (1, 4, 0): "49e2b795c35b9e7391d86b8e34f8165e68f53f002b7da18381a6698527a80f86",
+    (1, 4, 1): "dffcde9026ae251b2fc80ca1038cd96421a5d59decfdc937d6e6deb860b4f8fd",
+    (2, 3, 0): "40270864232e343e57effce3db420bc02fc3b2c39847af02cad6085d65ab3b3b",
+    (2, 3, 1): "5547e48d708e3391f6b0088eff25c80b048b31aed3cf60d7d2f0a71fc48b8fda",
+    (3, 2, 0): "43aa5a8c1e677150bc41eb71e05a45828dc849ca163b6e978b450f08f8f6b40b",
+    (3, 2, 1): "11b229bd97a243e18561d47d7fe6c8aae2dae445e381a25265502f290917180c",
+    (4, 1, 0): "31205144e31458a11e06676a87f375d2829320ad958052795583166995be7ce1",
+    (4, 1, 1): "0debce7edd0bd49af89a41fb18a149a6d767ce01218426a8f7b0cbaf279903a5",
+}
+
+
+@pytest.mark.parametrize("n,m,eps", sorted(SUBGROUPS_SHA256))
+@pytest.mark.parametrize("report", ["subgroups", "transfers"])
+def test_subgroup_and_transfer_json_unchanged(capsys, report, n, m, eps):
+    argv = ["--format", "json", "group", str(n), str(m), str(eps)]
+    assert main(argv + ["--report", report]) == 0
+    out = capsys.readouterr().out
+    pinned = SUBGROUPS_SHA256 if report == "subgroups" else TRANSFERS_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned[n, m, eps]
