@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -16,7 +17,7 @@ import sys
 from . import pgroup
 from .errors import QuadTowerError
 from .pgroup import GroupParams
-from .quadforms import DEFAULT_ENUM_BOUND, AbelianType, QuadForm
+from .quadforms import DEFAULT_ENUM_BOUND, AbelianType
 from .tower import Check, TowerReport, classify, crosscheck, predict, scan
 from .verify import run_all
 
@@ -37,8 +38,6 @@ def _jsonable(value):
     """Convert report values to JSON-serializable structures."""
     if isinstance(value, AbelianType):
         return list(value.parts)
-    if isinstance(value, QuadForm):
-        return [value.a, value.b, value.c]
     if isinstance(value, GroupParams):
         return {
             "n": value.n,
@@ -155,31 +154,19 @@ def cmd_crosscheck(args, config) -> int:
 def _group_report(g, kind: str):
     if kind == "fingerprint":
         fp = pgroup.fingerprint(g)
-        return {
-            "order": fp.order,
-            "abelianization": fp.abelianization,
-            "derived_type": fp.derived_type,
-            "exponent": fp.exponent,
-            "center_order": fp.center_order,
-            "lcs_orders": fp.lcs_orders,
-            "sub_index2": fp.sub_index2,
-            "sub_index4": fp.sub_index4,
-            "elt_order_histogram": fp.elt_order_histogram,
-        }
+        return {f.name: getattr(fp, f.name) for f in dataclasses.fields(fp)}
     if kind == "subgroups":
         out = []
         for sub, normal in pgroup.subgroups_of_index4(g):
-            ab = pgroup.abelian_type_of(sub, pgroup.derived_subgroup(sub))
-            out.append({"abelianization": ab, "normal": normal})
+            out.append({"abelianization": pgroup.abelianization(sub), "normal": normal})
         return out
     if kind == "transfers":
-        top = pgroup.whole_group(g)
-        out = {}
-        for j, sub in enumerate(pgroup.standard_maximal_subgroups(g), start=1):
-            order, _, _ = pgroup.transfer_kernel(top, sub)
-            out[f"ker_t{j}_order"] = order
-        pair = pgroup.capitulation_subgroups(g)
-        out["ker_H2_to_H1capH2_order"] = pgroup.transfer_kernel(*pair)[0]
+        subs = pgroup.standard_maximal_subgroups(g)
+        kernels = pgroup.transfer_kernel(pgroup.whole_group(g), subs)
+        out = {f"ker_t{j}_order": order for j, (order, _) in enumerate(kernels, start=1)}
+        h2, inter = pgroup.capitulation_subgroups(subs[0], subs[1])
+        ((order, _),) = pgroup.transfer_kernel(h2, [inter])
+        out["ker_H2_to_H1capH2_order"] = order
         return out
     if kind == "lcs":
         return [term.order for term in pgroup.lower_central_series(g)]
@@ -192,7 +179,7 @@ def cmd_group(args, config) -> int:
     result = {
         "params": g.params,
         "order": g.order,
-        "abelianization": pgroup.abelianization(g),
+        "abelianization": pgroup.abelianization(top),
         "derived_type": pgroup.abelian_type_of(pgroup.derived_subgroup(top)),
     }
     if args.report:

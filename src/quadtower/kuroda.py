@@ -45,58 +45,24 @@ class Table1Row:
     """Predicted data for one of the seven quadratic extensions k_j of k."""
 
     j: int
-    label: str
     kappa_order: int
     h2: int
     kappa_generators: tuple[str, ...]
 
 
-# Per extension j: (label, capitulation kernel order, and the generators of
-# the capitulation kernel as ideal-class labels such as "[2]" and "[p]").
+# Per extension j: the capitulation kernel order and its generators as
+# ideal-class labels such as "[2]" and "[p]".  The k_j are k(sqrt(-p)),
+# k(sqrt(p)), k(sqrt(-1)), k(sqrt(-q)), k(sqrt(-q')), k(sqrt(q)) and
+# k(sqrt(q')).
 _TABLE1_STATIC = (
-    (1, "k(sqrt(-p))", 4, ("[p]", "[q]")),
-    (2, "k(sqrt(p))", 2, ("[p]",)),
-    (3, "k(sqrt(-1))", 4, ("[2]", "[p]")),
-    (4, "k(sqrt(-q))", 4, ("[2]", "[q]")),
-    (5, "k(sqrt(-q'))", 4, ("[2]", "[pq]")),
-    (6, "k(sqrt(q))", 4, ("[2]", "[q]")),
-    (7, "k(sqrt(q'))", 4, ("[2]", "[pq]")),
+    (1, 4, ("[p]", "[q]")),
+    (2, 2, ("[p]",)),
+    (3, 4, ("[2]", "[p]")),
+    (4, 4, ("[2]", "[q]")),
+    (5, 4, ("[2]", "[pq]")),
+    (6, 4, ("[2]", "[q]")),
+    (7, 4, ("[2]", "[pq]")),
 )
-
-# 2-class numbers of the quadratic subfields of the k_j over Q, by genus
-# theory for the discriminant shapes at hand: m = 1 mod 8 prime gives
-# h2(-4m) = 2^mu (the one non-forced value); products of two primes from
-# {p} x {q, q'} give 2; -qq' gives 4; qq', q, q', p, pqq' variants as below.
-def _subfield_h2_symbols(j: int) -> tuple[str, str]:
-    return {
-        1: ("h2(-p)", "h2(qq')"),
-        2: ("h2(p)", "h2(-qq')"),
-        3: ("h2(-1)", "h2(pqq')"),
-        4: ("h2(-q)", "h2(pq')"),
-        5: ("h2(-q')", "h2(pq)"),
-        6: ("h2(q)", "h2(-pq')"),
-        7: ("h2(q')", "h2(-pq)"),
-    }[j]
-
-
-def _pinned_h2(symbol: str, mu: int) -> int:
-    """Genus-theoretic 2-class numbers for the subfield discriminant shapes."""
-    return {
-        "h2(-p)": 1 << mu,
-        "h2(qq')": 1,
-        "h2(p)": 1,
-        "h2(-qq')": 4,
-        "h2(-1)": 1,
-        "h2(pqq')": 2,
-        "h2(-q)": 1,
-        "h2(pq')": 2,
-        "h2(-q')": 1,
-        "h2(pq)": 2,
-        "h2(q)": 1,
-        "h2(-pq')": 2,
-        "h2(q')": 1,
-        "h2(-pq)": 2,
-    }[symbol]
 
 
 def table1_predictions(n: int, mu: int) -> tuple[Table1Row, ...]:
@@ -109,20 +75,21 @@ def table1_predictions(n: int, mu: int) -> tuple[Table1Row, ...]:
     if n < 2 or mu < 2:
         raise InvalidParams(f"need n, mu >= 2, got ({n}, {mu})")
     h2_k = 1 << (n + 2)
-    rows = []
-    for j, label, kappa_n, kappa_gens in _TABLE1_STATIC:
-        s1, s2 = _subfield_h2_symbols(j)
-        h2 = kuroda_h2([h2_k, _pinned_h2(s1, mu), _pinned_h2(s2, mu)], q_index=1)
-        rows.append(
-            Table1Row(
-                j=j,
-                label=label,
-                kappa_order=kappa_n,
-                h2=h2,
-                kappa_generators=kappa_gens,
-            )
+    # 2-class numbers of the other two quadratic subfields of each k_j, in
+    # the order of subfield_discriminants, by genus theory: h2(-4p) = 2^mu
+    # (the one value not forced), h2(-4qq') = 4, 2 for the five
+    # discriminants divisible by p and by q or q', and 1 for -4, p, qq' and
+    # the discriminants of Q(sqrt(+-q)) and Q(sqrt(+-q')).
+    subfield_h2 = [(1 << mu, 1), (1, 4)] + [(1, 2)] * 5
+    return tuple(
+        Table1Row(
+            j=j,
+            kappa_order=kappa_n,
+            h2=kuroda_h2([h2_k, h2_a, h2_b], q_index=1),
+            kappa_generators=kappa_gens,
         )
-    return tuple(rows)
+        for (j, kappa_n, kappa_gens), (h2_a, h2_b) in zip(_TABLE1_STATIC, subfield_h2)
+    )
 
 
 def subfield_discriminants(p: int, q: int, qprime: int) -> dict[int, tuple[int, int, int]]:
@@ -152,7 +119,4 @@ def genus_field_h2(n: int, mu: int) -> int:
     """
     if n < 2 or mu < 2:
         raise InvalidParams(f"need n, mu >= 2, got ({n}, {mu})")
-    num = (1 << (n + 2)) * (1 << mu)
-    if num % 4 != 0:
-        raise NonIntegralResult(f"{num}/4 is not integral")
-    return num // 4
+    return (1 << (n + 2)) * (1 << mu) // 4

@@ -381,8 +381,9 @@ def cosets(group, elements, nset: frozenset) -> dict:
     return out
 
 
-def abelianization(group) -> AbelianType:
-    return abelian_type_of(whole_group(group), derived_subgroup(whole_group(group)))
+def abelianization(h: Subgroup) -> AbelianType:
+    """Invariant factors of h/h'."""
+    return abelian_type_of(h, derived_subgroup(h))
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +454,11 @@ def standard_maximal_subgroups(g: PGroup) -> list[Subgroup]:
     return subs
 
 
-def capitulation_subgroups(g: PGroup) -> tuple[Subgroup, Subgroup]:
-    """H_2 and H_1 cap H_2 = <a2,a3^2,c12,c13>: the transfer from H_2 to the
-    intersection has a kernel of order 8 for eps = 0 and 4 for eps = 1
-    (capitulation in K/k(sqrt(p)))."""
-    h1, h2 = (subgroup(g, gl) for gl in _standard_generators(g)[:2])
+def capitulation_subgroups(h1: Subgroup, h2: Subgroup) -> tuple[Subgroup, Subgroup]:
+    """H_2 and H_1 cap H_2 = <a2,a3^2,c12,c13>, given the standard H_1 and
+    H_2: the transfer from H_2 to the intersection has a kernel of order 8
+    for eps = 0 and 4 for eps = 1 (capitulation in K/k(sqrt(p)))."""
+    g = h2.group
     inter = subgroup(g, [g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
     if not (inter.elements <= h1.elements and inter.elements <= h2.elements):
         raise StructureMismatch("H1 and H2 intersection subgroup mismatch")
@@ -511,28 +512,23 @@ def transfer(K: Subgroup, H: Subgroup, x, z=None) -> frozenset:
     return coset
 
 
-def transfer_kernel(K: Subgroup, H: Subgroup):
-    """Kernel of the induced map K/K' -> H/H'.
+def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
+    """Kernels of the induced maps K/K' -> H/H', one per H of index 2 in K
+    in `targets`, from one K' and one transversal of K' in K.
 
-    Returns (order, kernel_cosets, kprime) where kernel_cosets is the set of
-    cosets of K' (each a frozenset) mapping to the trivial coset of H'.
+    Each kernel comes as (order, ker): ker is its preimage in K, spanned by
+    K' and the transversal elements whose transfer lies in H', and order is
+    the number of cosets of K' in ker.
     """
     g = K.group
     kprime = derived_subgroup(K)
-    hprime = derived_subgroup(H).elements
-    kcosets = cosets(g, K.elements, kprime.elements)
-    kernel = {
-        coset
-        for coset, val in zip(kcosets.values(), _transfer_values(K, H, kcosets))
-        if val in hprime
-    }
-    return len(kernel), kernel, kprime
-
-
-def in_transfer_kernel(K: Subgroup, H: Subgroup, x) -> bool:
-    """Whether t_{K,H}(xK') is the trivial coset H'."""
-    (val,) = _transfer_values(K, H, [x])
-    return val in derived_subgroup(H).elements
+    reps = list(cosets(g, K.elements, kprime.elements))
+    out = []
+    for H in targets:
+        hprime = derived_subgroup(H).elements
+        inside = [x for x, val in zip(reps, _transfer_values(K, H, reps)) if val in hprime]
+        out.append((len(inside), subgroup(g, list(kprime.generators) + inside)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +580,9 @@ def fingerprint(group) -> Fingerprint:
     hist: dict[int, int] = {}
     for o in _element_orders(group).values():
         hist[o] = hist.get(o, 0) + 1
-    idx2 = sorted(
-        abelian_type_of(mx, derived_subgroup(mx)).parts
-        for mx in maximal_subgroups(top)
-    )
+    idx2 = sorted(abelianization(mx).parts for mx in maximal_subgroups(top))
     idx4 = sorted(
-        (abelian_type_of(sub, derived_subgroup(sub)).parts, normal)
+        (abelianization(sub).parts, normal)
         for sub, normal in subgroups_of_index4(group)
     )
     return Fingerprint(

@@ -133,7 +133,7 @@ def test_element_orders_and_centre():
 def test_abelianization_and_derived():
     for n, m, eps in ((2, 2, 0), (2, 2, 1), (3, 3, 1)):
         g = gamma(n, m, eps)
-        assert abelianization(g) == AbelianType.of(1 << n, 2, 2)
+        assert abelianization(whole_group(g)) == AbelianType.of(1 << n, 2, 2)
         der = derived_subgroup(whole_group(g))
         assert abelian_type_of(der) == AbelianType.of(1 << m, 2)
         assert der.elements == _reference_closure(g, [g.c12, g.c13])
@@ -216,8 +216,39 @@ def test_transfer_kernel_orders():
     g = gamma(2, 2, 1)
     top = whole_group(g)
     subs = standard_maximal_subgroups(g)
-    orders = [transfer_kernel(top, s)[0] for s in subs]
+    orders = [order for order, _ in transfer_kernel(top, subs)]
     assert orders == [4, 2, 4, 4, 4, 4, 4]
+
+
+def _transfer_by_definition(K, H, x):
+    """V(x) = prod over t in T of h_t, where t x = h_t t' with h_t in H and
+    t' in T, for the right transversal T = {1, z} of H in K."""
+    g = K.group
+    z = next(y for y in K.elements if y not in H)
+    transversal = (g.identity, z)
+    value = g.identity
+    for t in transversal:
+        tx = g.mul(t, x)
+        (h,) = {g.mul(tx, g.inv(u)) for u in transversal} & H.elements
+        value = g.mul(value, h)
+    return value
+
+
+def test_transfer_kernel_against_definition():
+    for g in _small_groups():
+        top = whole_group(g)
+        for K in [top] + maximal_subgroups(top):
+            targets = maximal_subgroups(K)
+            kprime = derived_subgroup(K)
+            for H, (order, ker) in zip(targets, transfer_kernel(K, targets)):
+                hprime = derived_subgroup(H).elements
+                expected = {
+                    x for x in K.elements
+                    if _transfer_by_definition(K, H, x) in hprime
+                }
+                assert ker.elements == expected
+                assert order == ker.order // kprime.order
+                _assert_small_generating_set(ker)
 
 
 def test_quotient_group():
@@ -303,7 +334,8 @@ def test_named_subgroups_are_spans_of_their_generators():
     # these are the paper's named subgroups and plain spans of two elements.
     for g in _small_groups():
         if isinstance(g, PGroup):
-            named = standard_maximal_subgroups(g) + list(capitulation_subgroups(g))
+            subs = standard_maximal_subgroups(g)
+            named = subs + list(capitulation_subgroups(subs[0], subs[1]))
             for sub in named + [genus_subgroup(g)]:
                 _assert_small_generating_set(sub)
                 _assert_small_generating_set(derived_subgroup(sub))

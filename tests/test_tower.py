@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from quadtower import genus, quadforms, tower
+from quadtower import genus, pgroup, quadforms, tower
 from quadtower.arith import is_fundamental
 from quadtower.errors import NotFundamental, NotImaginary, UnsupportedKind
 from quadtower.quadforms import AbelianType
@@ -141,6 +141,35 @@ def test_crosscheck_builds_each_class_group_once(monkeypatch):
         -qp, 4 * p * q, 4 * q, -p * qp, 4 * qp, -p * q,
     }
     assert set(built.values()) == {1}
+
+
+def test_crosscheck_derives_and_builds_each_subgroup_once(monkeypatch):
+    # One transfer-kernel pass from Gamma over H_1..H_7 and one from H_2 to
+    # H_1 cap H_2: G', H_1'..H_7', H_2' and (H_1 cap H_2)', and H_1 and H_2
+    # built once by standard_maximal_subgroups.
+    derived = Counter()
+    spans = Counter()
+    real_derived, real_subgroup = pgroup.derived_subgroup, pgroup.subgroup
+
+    def counting_derived(h):
+        derived[h.elements] += 1
+        return real_derived(h)
+
+    def counting_subgroup(*args, **kwargs):
+        sub = real_subgroup(*args, **kwargs)
+        spans[sub.elements] += 1
+        return sub
+
+    for module in (pgroup, tower):
+        monkeypatch.setattr(module, "derived_subgroup", counting_derived)
+    monkeypatch.setattr(pgroup, "subgroup", counting_subgroup)
+    assert tower.crosscheck(-329988).all_passed
+    assert sum(derived.values()) <= 10
+    g = pgroup.gamma(4, 4, 1)
+    h1 = real_subgroup(g, [g.a1, g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
+    h2 = real_subgroup(g, [g.a2, g.a3, g.c12, g.c13])
+    assert spans[h1.elements] == 1
+    assert spans[h2.elements] == 1
 
 
 @pytest.fixture(scope="module")
