@@ -488,7 +488,7 @@ def subgroups_of_index4(group) -> list[tuple[Subgroup, bool]]:
 # Transfer maps
 # ---------------------------------------------------------------------------
 
-def _transfer_values(K: Subgroup, H: Subgroup, xs, z=None) -> list:
+def transfer_values(K: Subgroup, H: Subgroup, xs, z=None) -> list:
     """Representatives of t_{K,H}(x K') modulo H' for each x in xs, with
     (K:H) = 2 and z in K outside H: x^2 [x, z] for x in H, x^2 otherwise."""
     g = K.group
@@ -507,7 +507,7 @@ def _transfer_values(K: Subgroup, H: Subgroup, xs, z=None) -> list:
 
 def transfer(K: Subgroup, H: Subgroup, x, z=None) -> frozenset:
     """Transfer value t_{K,H}(xK') as a coset of H' in H, for (K:H) = 2."""
-    (val,) = _transfer_values(K, H, [x], z)
+    (val,) = transfer_values(K, H, [x], z)
     (coset,) = cosets(K.group, [val], derived_subgroup(H).elements).values()
     return coset
 
@@ -526,7 +526,7 @@ def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
     out = []
     for H in targets:
         hprime = derived_subgroup(H).elements
-        inside = [x for x, val in zip(reps, _transfer_values(K, H, reps)) if val in hprime]
+        inside = [x for x, val in zip(reps, transfer_values(K, H, reps)) if val in hprime]
         out.append((len(inside), subgroup(g, list(kprime.generators) + inside)))
     return out
 

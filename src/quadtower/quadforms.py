@@ -4,6 +4,13 @@ Negative discriminants get the full class group with composition; positive
 discriminants get narrow-class counts and principality via cycles of reduced
 indefinite forms under the rho operator.  Everything is exact integer
 arithmetic on fundamental discriminants.
+
+Reduced forms of either sign come from one sieve over b: a reduced form
+(a, b, c) has a c = |b^2 - d| / 4 with a <= sqrt(|d| / 3) (d < 0) or
+a <= sqrt(d) (d > 0), so a is a small divisor of that product.  The odd
+primes up to that bound are sieved onto the b whose product they divide,
+from the square roots of d modulo each prime (Tonelli-Shanks), and the
+divisors are built from those primes and 2.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import factor, is_fundamental
+from .arith import is_fundamental
 from .errors import (
     BoundExceeded,
     DiscriminantMismatch,
@@ -275,56 +282,117 @@ class ClassGroup:
         return len(self.classes)
 
 
+def _sqrt_mod(n: int, p: int) -> int | None:
+    """A root of x^2 = n (mod p) for an odd prime p, or None when n is a
+    nonresidue; 0 when p | n (Tonelli-Shanks, Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.5.1)."""
+    n %= p
+    if n == 0:
+        return 0
+    half = (p - 1) // 2
+    if pow(n, half, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+    y, x, t = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+    while t != 1:
+        # t has order 2^m with m < e; y has order 2^e.
+        m, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            m += 1
+        s = pow(y, 1 << (e - m - 1), p)
+        y = s * s % p
+        x = x * s % p
+        t = t * y % p
+        e = m
+    return x
+
+
+def _odd_primes(limit: int) -> list[int]:
+    sieve = bytearray([1]) * (limit + 1)
+    for i in range(3, isqrt(limit) + 1, 2):
+        if sieve[i]:
+            sieve[i * i :: 2 * i] = bytes(len(range(i * i, limit + 1, 2 * i)))
+    return [p for p in range(3, limit + 1, 2) if sieve[p]]
+
+
+def _small_divisors(d: int, limit: int):
+    """For each b = d (mod 2) in [0, limit] with b^2 != d, yield b,
+    n = |b^2 - d| / 4 and the divisors of n up to `limit`, unsorted.
+
+    An odd prime p divides n exactly when b = +-r (mod p) for a square root
+    r of d modulo p, so the primes up to `limit` are sieved onto the b whose
+    n they divide; the divisors of n up to `limit` are those of its smooth
+    part, 2 and the sieved primes to their multiplicities in n.
+    """
+    par = d & 1
+    count = (limit - par) // 2 + 1  # b = 2 i + par for 0 <= i < count
+    factors = [[2] for _ in range(count)]
+    for p in _odd_primes(limit):
+        r = _sqrt_mod(d, p)
+        if r is None:
+            continue
+        for root in (r, p - r) if r else (0,):
+            b0 = root if root % 2 == par else root + p
+            for i in range(b0 // 2, count, p):
+                factors[i].append(p)
+    for i, ps in enumerate(factors):
+        b = 2 * i + par
+        n = abs(b * b - d) // 4
+        if n == 0:
+            continue
+        divs = [1]
+        for p in ps:
+            pk = p
+            new = []
+            while pk <= limit and n % pk == 0:
+                new += [x * pk for x in divs if x * pk <= limit]
+                pk *= p
+            divs += new
+        yield b, n, divs
+
+
 def _reduced_definite_forms(d: int) -> list[QuadForm]:
     """Reduced forms of discriminant d < 0, sorted by (a, b).
 
-    Only b >= 0 is searched: (a, -b, c) is reduced with (a, b, c) unless
-    b = 0, b = a or a = c.
+    A reduced (a, +-b, c) has a c = (b^2 - d) / 4 with b <= a <= c, so
+    a <= sqrt(-d / 3) is a small divisor of that product.  (a, -b, c) is
+    reduced with (a, b, c) unless b = 0, b = a or a = c.
     """
     out = []
     amax = isqrt(-d // 3)
-    for a in range(1, amax + 1):
-        a4 = 4 * a
-        row = []
-        for b in range(d & 1, a + 1, 2):
-            num = b * b - d
-            if num % a4:
-                continue
-            c = num // a4
-            if c >= a:
-                row.append((b, c))
-        out.extend(QuadForm(a, -b, c) for b, c in reversed(row) if 0 < b < a != c)
-        out.extend(QuadForm(a, b, c) for b, c in row)
+    for b, n, divs in _small_divisors(d, amax):
+        for a in divs:
+            if b <= a and a * a <= n:
+                c = n // a
+                out.append(QuadForm(a, b, c))
+                if 0 < b < a != c:
+                    out.append(QuadForm(a, -b, c))
+    out.sort()
     return out
 
 
 def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
+    """Reduced forms (+-a, b, -+c) of discriminant d > 0 in order of b, then
+    a: a c = (d - b^2) / 4 with 0 < b < sqrt(d) and |2a - b| < sqrt(d) < 2a + b,
+    so a <= sqrt(d) is a small divisor of that product."""
     out = []
-    s = isqrt(d)
-    for b in range(1, s + 1):
-        if (b - d) % 2:
+    for b, n, divs in _small_divisors(d, isqrt(d)):
+        if b == 0:
             continue
-        prod4 = d - b * b  # = -4ac > 0
-        if prod4 == 0:
-            continue
-        prod = prod4 // 4  # = -ac = |a| |c|
-        for aa in _divisors(prod):
+        for aa in sorted(divs):
             if (2 * aa + b) ** 2 > d and (2 * aa - b) ** 2 < d:
-                out.append(QuadForm(aa, b, -(prod // aa)))
-                out.append(QuadForm(-aa, b, prod // aa))
+                out.append(QuadForm(aa, b, -(n // aa)))
+                out.append(QuadForm(-aa, b, n // aa))
     return out
-
-
-def _divisors(n: int) -> list[int]:
-    ds = [1]
-    for p in sorted(set(factor(n))):
-        e = 0
-        nn = n
-        while nn % p == 0:
-            nn //= p
-            e += 1
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
 
 
 def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from quadtower import pgroup, verify
 from quadtower.pgroup import (
     distinguish,
     gamma,
@@ -102,6 +103,22 @@ def test_criteria_1_to_9_check_lists_pinned():
     pairs = [(c.name, c.passed) for r in results for c in r.checks]
     assert len(pairs) == 614
     assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == CRITERIA_1_TO_9_SHA256
+
+
+def test_criterion_tables_derived_subgroup_calls(monkeypatch):
+    # Per group: G' and H_1'..H_7' once, and the transfer-kernel pass's own
+    # G' and H_2'..H_7'; 15 over each of the four groups.
+    calls = []
+    real = pgroup.derived_subgroup
+
+    def counting(h):
+        calls.append(h.elements)
+        return real(h)
+
+    for module in (pgroup, verify):
+        monkeypatch.setattr(module, "derived_subgroup", counting)
+    assert criterion_tables().passed
+    assert len(calls) <= 64
 
 
 @pytest.mark.xfail(

@@ -1,11 +1,14 @@
 """Binary quadratic forms: reduction, composition, class groups, units."""
 
+import hashlib
+import json
 import random
+from collections import Counter
 from math import gcd, isqrt
 
 import pytest
 
-from quadtower.arith import is_fundamental, kronecker, prime_discriminants
+from quadtower.arith import factor, is_fundamental, kronecker, prime_discriminants
 from quadtower.cli import _jsonable
 from quadtower.errors import (
     DiscriminantMismatch,
@@ -18,6 +21,8 @@ from quadtower.quadforms import (
     _cycle,
     _is_reduced_indef,
     _reduced_definite_forms,
+    _reduced_indefinite_forms,
+    _sqrt_mod,
     abelian_type_from_counts,
     class_group,
     compose,
@@ -312,3 +317,95 @@ def test_quadform_tuple_contract():
     }
     with pytest.raises(ValueError):
         f.transform(1, 1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The square-root sieve against the double loops it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_definite_forms(d):
+    """Reduced forms of d < 0 by testing every b <= a for every a."""
+    out = []
+    for a in range(1, isqrt(-d // 3) + 1):
+        row = []
+        for b in range(d & 1, a + 1, 2):
+            num = b * b - d
+            if num % (4 * a) == 0 and num // (4 * a) >= a:
+                row.append((b, num // (4 * a)))
+        out.extend(QuadForm(a, -b, c) for b, c in reversed(row) if 0 < b < a != c)
+        out.extend(QuadForm(a, b, c) for b, c in row)
+    return out
+
+
+def _reference_indefinite_forms(d):
+    """Reduced forms of d > 0 by trial-dividing (d - b^2) / 4 for every b."""
+    out = []
+    for b in range(1, isqrt(d) + 1):
+        if (b - d) % 2 or b * b == d:
+            continue
+        prod = (d - b * b) // 4
+        divisors = [1]
+        for p, e in Counter(factor(prod)).items():
+            divisors = [x * p**k for x in divisors for k in range(e + 1)]
+        for aa in sorted(divisors):
+            if (2 * aa + b) ** 2 > d and (2 * aa - b) ** 2 < d:
+                out.append(QuadForm(aa, b, -(prod // aa)))
+                out.append(QuadForm(-aa, b, prod // aa))
+    return out
+
+
+def _random_fundamentals(seed, count, lo, hi, sign):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = sign * rng.randrange(lo, hi + 1)
+        if is_fundamental(d):
+            out.append(d)
+    return out
+
+
+def test_sqrt_mod_against_brute_force():
+    for p in range(3, 2000, 2):
+        if any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+            continue
+        squares = {}
+        for x in range(p):
+            squares.setdefault(x * x % p, set()).add(x)
+        for n in range(p):
+            r = _sqrt_mod(n, p)
+            if n not in squares:
+                assert r is None, (p, n)
+            else:
+                assert 0 <= r < p and {r, -r % p} == squares[n], (p, n, r)
+
+
+def test_reduced_definite_forms_match_reference():
+    discs = _fundamentals(-20000, -3)
+    discs += _random_fundamentals(31, 100, 20001, 3 * 10**6, -1)
+    for d in discs:
+        assert _reduced_definite_forms(d) == _reference_definite_forms(d), d
+
+
+def test_reduced_indefinite_forms_match_reference():
+    discs = _fundamentals(5, 20000)
+    discs += _random_fundamentals(32, 100, 20001, 3 * 10**6, 1)
+    for d in discs:
+        assert _reduced_indefinite_forms(d) == _reference_indefinite_forms(d), d
+
+
+# sha256 of the JSON list of [d, classes, abelian type] below, recorded
+# before the square-root sieve replaced the double loop.  It pins the order
+# of `classes`, which the cycle representatives and the 2-Sylow walk follow.
+CLASS_GROUP_SHA256 = "b7e583763593c0864f169b29ade73e79e08d6d699a53e7bf35bde3e79cb914b8"
+
+
+def test_class_groups_pinned():
+    discs = _random_fundamentals(33, 100, 5, 2 * 10**6, -1)
+    discs += _random_fundamentals(34, 100, 5, 2 * 10**6, 1)
+    rows = []
+    for d in discs:
+        g = class_group(d)
+        parts = None if g.abelian_type is None else list(g.abelian_type.parts)
+        rows.append([d, [list(f) for f in g.classes], parts])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == CLASS_GROUP_SHA256
