@@ -84,9 +84,9 @@ def square_2torsion(
     elif group.disc != d:
         raise DiscriminantMismatch(f"class group of {group.disc}, field {d}")
     one = reduce_form(principal_form(d))
-    squares = {compose(f, f) for f in group.classes}
-    torsion = {f for f in group.classes if compose(f, f) == one}
-    return sorted(squares & torsion)
+    squared = [compose(f, f) for f in group.classes]
+    torsion = {f for f, f2 in zip(group.classes, squared) if f2 == one}
+    return sorted(torsion.intersection(squared))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ a <= sqrt(d) (d > 0), so a is a small divisor of that product.  The odd
 primes up to that bound are sieved onto the b whose product they divide,
 from the square roots of d modulo each prime (Tonelli-Shanks), and the
 divisors are built from those primes and 2.
+
+The 2-Sylow invariants of a negative class group come from the sizes of the
+spans of the 2^j-th powers of a few generators of the 2-Sylow.
 """
 
 from __future__ import annotations
@@ -246,18 +249,28 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
 
 
 def form_pow(f: QuadForm, k: int) -> QuadForm:
-    d = f.disc
-    r = reduce_form(principal_form(d))
-    base = reduce_form(f)
+    """A reduced representative of the class of f^k, by binary powering.
+
+    A reduced definite f is used as it is, so f^1 is f itself; any other
+    form is reduced once.  k may be negative or zero.
+    """
+    a, b, c = f
+    d = b * b - 4 * a * c
+    if not (d < 0 and -a < b <= a <= c and (b >= 0 or a != c)):
+        f = reduce_form(f)
     if k < 0:
-        base = reduce_form(QuadForm(base.a, -base.b, base.c))
+        f = reduce_form(QuadForm(f.a, -f.b, f.c))
         k = -k
-    while k:
+    if k == 0:
+        return reduce_form(principal_form(d))
+    result = None
+    while True:
         if k & 1:
-            r = compose(r, base)
-        base = compose(base, base)
+            result = f if result is None else compose(result, f)
         k >>= 1
-    return r
+        if not k:
+            return result
+        f = compose(f, f)
 
 
 # ---------------------------------------------------------------------------
@@ -395,41 +408,64 @@ def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
     return out
 
 
-def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
-    """Invariant factors of the 2-Sylow subgroup of the class group.
+def _span(gens, ident: QuadForm, order: int = 0) -> tuple[list[QuadForm], list[QuadForm]]:
+    """The elements of the subgroup spanned by `gens` (definite classes), and
+    the generators that enlarged it.
 
-    Walks `classes` in order and raises each to the odd part of h; a power
-    outside the span so far extends it by its cyclic subgroup, until the span
-    has h2 = h / odd elements.  The type then comes from counting elements
-    killed by successive squarings over the span.
+    Each generator x outside the span H so far extends it by the cosets
+    x H, x^2 H, ... up to the first power of x that lies in H.  With
+    `order`, no generator is drawn once the span has that many elements.
+    """
+    elems = [ident]
+    span = {ident}
+    used = []
+    for x in gens:
+        if x in span:
+            continue
+        used.append(x)
+        coset = elems
+        while True:
+            coset = [compose(x, y) for y in coset]
+            if coset[0] in span:
+                break
+            elems.extend(coset)
+        span = set(elems)
+        if len(elems) == order:
+            break
+    return elems, used
+
+
+def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
+    """Invariant factors of the 2-Sylow subgroup G of the class group.
+
+    The odd-part powers of the classes with b >= 0 (their inverses span the
+    same cyclic groups) are walked in order until their span is G, of order
+    h2.  The generators x_i it kept span G, so the 2^j-th powers of the x_i
+    span 2^j G, and the number of elements of G killed by 2^j is
+    h2 / |2^j G| (Cohen, A Course in Computational Algebraic Number Theory,
+    section 2.4.3).  Raises StructureMismatch when the walk does not span
+    exactly h2 elements, as when `classes` is not the whole class group.
     """
     h = len(classes)
     odd = h
     while odd % 2 == 0:
         odd //= 2
     h2 = h // odd
+    if h2 == 1:
+        return AbelianType(())
     ident = _reduce_definite(d, *principal_form(d))
-    sylow = [ident]
-    span = {ident}
-    for f in classes:
-        if len(sylow) == h2:
-            break
-        x = form_pow(f, odd)
-        if x in span:
-            continue
-        coset = sylow
-        while True:
-            coset = [compose(x, y) for y in coset]
-            if coset[0] in span:
-                break
-            sylow.extend(coset)
-        span = set(sylow)
-    # counts[j] = #{x in Sylow_2 : x^(2^j) = 1}
+    sylow, gens = _span((form_pow(f, odd) for f in classes if f.b >= 0), ident, h2)
+    if len(sylow) != h2:
+        raise StructureMismatch(
+            f"the classes of discriminant {d} span {len(sylow)} elements"
+            f" in place of a 2-Sylow of order {h2}"
+        )
+    # counts[j] = #{x in G : x^(2^j) = 1} = h2 / |2^j G|
     counts = [1]
-    cur = sylow
     while counts[-1] < h2:
-        cur = [compose(g, g) for g in cur]
-        counts.append(sum(1 for g in cur if g == ident))
+        gens = [compose(x, x) for x in gens]
+        power, gens = _span(gens, ident)
+        counts.append(h2 // len(power))
     return abelian_type_from_counts(counts)
 
 

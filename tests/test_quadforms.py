@@ -14,6 +14,7 @@ from quadtower.errors import (
     DiscriminantMismatch,
     InertPrime,
     SquareDiscriminant,
+    StructureMismatch,
 )
 from quadtower.quadforms import (
     AbelianType,
@@ -23,6 +24,7 @@ from quadtower.quadforms import (
     _reduced_definite_forms,
     _reduced_indefinite_forms,
     _sqrt_mod,
+    _sylow2_type,
     abelian_type_from_counts,
     class_group,
     compose,
@@ -104,6 +106,11 @@ def test_form_pow():
     assert form_pow(f, 0) == reduce_form(principal_form(d))
     assert form_pow(f, 2) == reduce_form(compose(f, f))
     assert form_pow(f, 4) == reduce_form(principal_form(d))
+    assert form_pow(f, 1) is f
+    assert form_pow(f, 3) == compose(f, compose(f, f))
+    assert form_pow(f, -1) == QuadForm(3, -2, 6) == form_pow(f, 3)
+    moved = f.transform(2, 1, 1, 1)
+    assert moved != f and form_pow(moved, 1) == f and form_pow(moved, -5) == form_pow(f, 3)
 
 
 def test_prime_form():
@@ -249,6 +256,63 @@ def test_sylow2_matches_genus_theory():
         h2 = g.h & -g.h
         assert g.abelian_type.order == h2, d
         assert len(g.abelian_type.parts) == len(prime_discriminants(d)) - 1, d
+
+
+def _reference_sylow2_type(d):
+    """Type of the 2-Sylow by plain composition: counts[j] is the number of
+    classes x with x^(odd 2^j) = 1, over odd, where h = odd 2^k.  Each order
+    is found by composing x with itself until the identity comes back."""
+    classes = class_group(d).classes
+    one = reduce_form(principal_form(d))
+    h = len(classes)
+    odd = h // (h & -h)
+    orders = []
+    for x in classes:
+        y, n = x, 1
+        while y != one:
+            y, n = compose(y, x), n + 1
+        orders.append(n)
+    counts = [1]
+    while counts[-1] < h // odd:
+        e = odd << len(counts)
+        counts.append(sum(1 for n in orders if e % n == 0) // odd)
+    return abelian_type_from_counts(counts)
+
+
+# Fundamental d whose 2-Sylow has two or more parts >= 4, the smallest |d|
+# of each type (the last two with odd part 3).
+SYLOW2_PINNED = {
+    -2379: (4, 4),
+    -5795: (8, 4),
+    -6360: (4, 4, 2),
+    -20760: (8, 4, 2),
+    -22127: (16, 8),
+    -25988: (8, 8),
+    -42420: (4, 4, 2, 2),
+    -89284: (8, 8, 2),
+    -8103: (4, 4),
+    -13359: (8, 4),
+}
+
+
+def test_sylow2_type_matches_plain_composition():
+    discs = _fundamentals(-3000, -3) + list(SYLOW2_PINNED)
+    for d in discs:
+        g = class_group(d)
+        expected = _reference_sylow2_type(d)
+        assert _sylow2_type(list(g.classes), d) == expected == g.abelian_type, d
+        if d in SYLOW2_PINNED:
+            assert expected.parts == SYLOW2_PINNED[d], d
+
+
+@pytest.mark.parametrize("d, k", [(-9748, 12), (-3299, 12)])
+def test_sylow2_type_rejects_classes_short_of_the_sylow(d, k):
+    # 12 classes ask for a 2-Sylow of order 4, but the cubes of the first 12
+    # classes of -9748 (h = 18) span 2 elements, and those of -3299 (h = 27)
+    # span 3.
+    classes = list(class_group(d).classes[:k])
+    with pytest.raises(StructureMismatch):
+        _sylow2_type(classes, d)
 
 
 def test_reduced_definite_forms_match_double_loop():
