@@ -107,9 +107,6 @@ class Lemma1Report:
     def ok(self) -> bool:
         return self.h2 == 2 and self.prime_principal
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def lemma1_check(
     case: int, primes: tuple[int, ...], bound: int = DEFAULT_ENUM_BOUND

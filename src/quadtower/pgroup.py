@@ -1,5 +1,5 @@
 """Executable finite 2-groups: the two parametric families with subgroup,
-transfer, quotient, and fingerprint machinery.
+transfer-kernel, quotient, and fingerprint machinery.
 
 Elements are 5-exponent normal forms a1^e1 a2^e2 a3^e3 c12^f1 c13^f2, with
 multiplication by collection.  Every subgroup carries a generating set of
@@ -7,12 +7,15 @@ at most log2 of its order elements, and every span grows by one step: a new
 generator extends a subgroup by the right cosets it adds (Dimino).  Derived
 and Frattini subgroups and lower central terms are normal closures of a few
 commutators and squares of those generators, and maximal subgroups come from
-a Burnside basis of h/Phi(h).  One coset map, `cosets`, serves abelian
-invariants, transfer kernels and quotients.  PGroup and the quotient groups
-share one protocol: elements(), gens(), mul, inv and identity, with pow and
-comm from _Group.  All operations are exact and exhaustive; PGroup refuses
-orders above 2^16 (MAX_ORDER_LOG2) with BoundExceeded before building any
-element, and caches each inverse it has computed, at most one per element.
+a Burnside basis of h/Phi(h).  Abelian invariants of h/N come from the spans
+<N, x^(2^j)> of powers of h's generators, through the kernel the class groups
+use (quadforms.abelian_type_from_powers).  One coset map, `cosets`, serves
+transfer kernels and quotients.  PGroup and the quotient groups share one
+protocol: elements(), gens(), mul, inv and identity, with pow and comm from
+_Group.  All operations are exact and exhaustive; PGroup refuses orders
+above 2^16 (MAX_ORDER_LOG2) with BoundExceeded before building any element,
+and caches each inverse it has computed, at most one per element of the
+group, after checking that the element is in normal form.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     RankMismatch,
     StructureMismatch,
 )
-from .quadforms import AbelianType, abelian_type_from_counts
+from .quadforms import AbelianType, abelian_type_from_powers
 
 Element = tuple[int, int, int, int, int]
 
@@ -162,9 +165,12 @@ class PGroup(_Group):
             return self._inverses[x]
         except KeyError:
             pass
-        s = (x[0], x[1], (-x[2]) % self.e3_mod, 0, 0)
-        z = self.mul(x, s)  # raises GroupMismatch before x is cached
-        xi = (s[0], s[1], s[2], z[3] & 1, (-z[4]) % self.f2_mod)
+        e1, e2, e3, f1, f2 = x
+        if not ({e1, e2, f1} <= {0, 1} and 0 <= e3 < self.e3_mod and 0 <= f2 < self.f2_mod):
+            raise GroupMismatch(f"element outside group: {x}")
+        s = (e1, e2, (-e3) % self.e3_mod, 0, 0)
+        z = self.mul(x, s)
+        xi = s[:3] + (z[3] & 1, (-z[4]) % self.f2_mod)
         if len(self._inverses) < self.order:
             self._inverses[x] = xi
         return xi
@@ -238,6 +244,17 @@ def _extend(sub: Subgroup, x) -> Subgroup:
                 reps.append(ry)
                 span.update(g.mul(s, ry) for s in sub.elements)
     return Subgroup(g, frozenset(span), gens)
+
+
+def _span_over(base: Subgroup, xs) -> tuple[int, list]:
+    """|<base, xs> / base|, and the members of xs that enlarged the span,
+    each by one _extend step."""
+    sub, used = base, []
+    for x in xs:
+        if x not in sub.elements:
+            sub = _extend(sub, x)
+            used.append(x)
+    return sub.order // base.order, used
 
 
 def subgroup(group, seeds, conj_gens=()) -> Subgroup:
@@ -315,15 +332,6 @@ def centre(group) -> Subgroup:
     return subgroup(group, cen)
 
 
-def element_order(group, x) -> int:
-    k = 1
-    y = x
-    while y != group.identity:
-        y = group.mul(y, x)
-        k += 1
-    return k
-
-
 def lower_central_series(group) -> list[Subgroup]:
     """G_1 >= G_2 >= ... down to the trivial subgroup; G_(i+1) = [G_i, G] is
     the normal closure of the commutators of generators of G_i and G."""
@@ -341,30 +349,25 @@ def lower_central_series(group) -> list[Subgroup]:
 
 
 def abelian_type_of(h: Subgroup, modulo: Subgroup | None = None) -> AbelianType:
-    """Invariant factors of h/modulo, via the element-order histogram."""
+    """Invariant factors of h/modulo, from the spans <modulo, x^(2^j)> of
+    powers of h's generators x (abelian_type_from_powers)."""
     g = h.group
-    nelems = h.elements
     if modulo is None:
         modulo = subgroup(g, ())
     nset = modulo.elements
-    if not nset <= nelems:
+    if not nset <= h.elements:
         raise NotNormal("modulo is not contained in the subgroup")
     if not _normalizes(g, h.generators, modulo):
         raise NotNormal("modulo is not normal in the subgroup")
-    reps = list(cosets(g, nelems, nset))
     # With modulo normal in h, h/modulo is abelian iff h's generators commute
     # modulo it.
     for x, y in itertools.combinations(h.generators, 2):
         if g.comm(x, y) not in nset:
             raise NonAbelianQuotient("quotient is not abelian")
-    # counts[j] = number of cosets xN with x^(2^j) in N.
-    counts = [1]
-    cur = list(reps)
-    total = len(reps)
-    while counts[-1] < total:
-        cur = [g.mul(x, x) for x in cur]
-        counts.append(sum(1 for x in cur if x in nset))
-    return abelian_type_from_counts(counts)
+    return abelian_type_from_powers(
+        h.order // modulo.order, h.generators,
+        lambda x: g.mul(x, x), lambda xs: _span_over(modulo, xs),
+    )
 
 
 def cosets(group, elements, nset: frozenset) -> dict:
@@ -401,13 +404,8 @@ def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
     """
     g = h.group
     phi = frattini_subgroup(h)
-    basis = []
-    span = phi
-    for x in h.generators:
-        if x not in span.elements:
-            basis.append(x)
-            span = _extend(span, x)
-    if span.elements != h.elements:
+    size, basis = _span_over(phi, h.generators)
+    if size * phi.order != h.order:
         raise RankMismatch("Burnside basis does not span the subgroup")
     out = []
     for w in range(1, 1 << len(basis)):
@@ -503,13 +501,6 @@ def transfer_values(K: Subgroup, H: Subgroup, xs, z=None) -> list:
         sq = g.mul(x, x)
         out.append(g.mul(sq, g.comm(x, z)) if x in H.elements else sq)
     return out
-
-
-def transfer(K: Subgroup, H: Subgroup, x, z=None) -> frozenset:
-    """Transfer value t_{K,H}(xK') as a coset of H' in H, for (K:H) = 2."""
-    (val,) = transfer_values(K, H, [x], z)
-    (coset,) = cosets(K.group, [val], derived_subgroup(H).elements).values()
-    return coset
 
 
 def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:

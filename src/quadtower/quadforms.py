@@ -13,7 +13,8 @@ from the square roots of d modulo each prime (Tonelli-Shanks), and the
 divisors are built from those primes and 2.
 
 The 2-Sylow invariants of a negative class group come from the sizes of the
-spans of the 2^j-th powers of a few generators of the 2-Sylow.
+spans of the 2^j-th powers of a few generators of the 2-Sylow, read by
+abelian_type_from_powers, the kernel that pgroup's abelian quotients share.
 """
 
 from __future__ import annotations
@@ -115,6 +116,21 @@ def abelian_type_from_counts(counts: list[int]) -> AbelianType:
         )
         parts.extend([1 << j] * exactly)
     return AbelianType(tuple(sorted(parts, reverse=True)))
+
+
+def abelian_type_from_powers(order: int, gens, square, span) -> AbelianType:
+    """Invariant factors of the abelian 2-group A of that order spanned by
+    `gens`, given square(x) = x^2 and span(xs) = (|<xs>|, the xs that
+    enlarged it).  The 2^j-th powers of the gens span 2^j A, and |A| / |2^j A|
+    elements are killed by 2^j (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4.3).  Each level squares only the gens the last span
+    kept: squaring is a homomorphism of A, so the square of a dropped one
+    lies in the span of their squares."""
+    counts = [1]
+    while counts[-1] < order:
+        size, gens = span([square(x) for x in gens])
+        counts.append(order // size)
+    return abelian_type_from_counts(counts)
 
 
 @dataclass(frozen=True)
@@ -408,8 +424,8 @@ def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
     return out
 
 
-def _span(gens, ident: QuadForm, order: int = 0) -> tuple[list[QuadForm], list[QuadForm]]:
-    """The elements of the subgroup spanned by `gens` (definite classes), and
+def _span(gens, ident: QuadForm, order: int = 0) -> tuple[int, list[QuadForm]]:
+    """The order of the subgroup spanned by `gens` (definite classes), and
     the generators that enlarged it.
 
     Each generator x outside the span H so far extends it by the cosets
@@ -432,7 +448,7 @@ def _span(gens, ident: QuadForm, order: int = 0) -> tuple[list[QuadForm], list[Q
         span = set(elems)
         if len(elems) == order:
             break
-    return elems, used
+    return len(elems), used
 
 
 def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
@@ -440,11 +456,9 @@ def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
 
     The odd-part powers of the classes with b >= 0 (their inverses span the
     same cyclic groups) are walked in order until their span is G, of order
-    h2.  The generators x_i it kept span G, so the 2^j-th powers of the x_i
-    span 2^j G, and the number of elements of G killed by 2^j is
-    h2 / |2^j G| (Cohen, A Course in Computational Algebraic Number Theory,
-    section 2.4.3).  Raises StructureMismatch when the walk does not span
-    exactly h2 elements, as when `classes` is not the whole class group.
+    h2; the generators it kept go to abelian_type_from_powers.  Raises
+    StructureMismatch when the walk does not span exactly h2 elements, as
+    when `classes` is not the whole class group.
     """
     h = len(classes)
     odd = h
@@ -454,19 +468,15 @@ def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
     if h2 == 1:
         return AbelianType(())
     ident = _reduce_definite(d, *principal_form(d))
-    sylow, gens = _span((form_pow(f, odd) for f in classes if f.b >= 0), ident, h2)
-    if len(sylow) != h2:
+    size, gens = _span((form_pow(f, odd) for f in classes if f.b >= 0), ident, h2)
+    if size != h2:
         raise StructureMismatch(
-            f"the classes of discriminant {d} span {len(sylow)} elements"
+            f"the classes of discriminant {d} span {size} elements"
             f" in place of a 2-Sylow of order {h2}"
         )
-    # counts[j] = #{x in G : x^(2^j) = 1} = h2 / |2^j G|
-    counts = [1]
-    while counts[-1] < h2:
-        gens = [compose(x, x) for x in gens]
-        power, gens = _span(gens, ident)
-        counts.append(h2 // len(power))
-    return abelian_type_from_counts(counts)
+    return abelian_type_from_powers(
+        h2, gens, lambda x: compose(x, x), lambda xs: _span(xs, ident)
+    )
 
 
 def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:

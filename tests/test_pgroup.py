@@ -27,7 +27,6 @@ from quadtower.pgroup import (
     cosets,
     derived_subgroup,
     distinguish,
-    element_order,
     fingerprint,
     frattini_subgroup,
     gamma,
@@ -39,12 +38,12 @@ from quadtower.pgroup import (
     standard_maximal_subgroups,
     subgroup,
     subgroups_of_index4,
-    transfer,
     transfer_kernel,
+    transfer_values,
     verify_presentation,
     whole_group,
 )
-from quadtower.quadforms import AbelianType
+from quadtower.quadforms import AbelianType, abelian_type_from_counts
 
 
 def _reference_closure(group, gens) -> frozenset:
@@ -60,6 +59,32 @@ def _reference_closure(group, gens) -> frozenset:
                 seen.add(y)
                 frontier.append(y)
     return frozenset(seen)
+
+
+def _element_order(group, x) -> int:
+    """The order of x by multiplying by x until the identity comes back: the
+    reference the package's square-chain orders are checked against."""
+    k = 1
+    y = x
+    while y != group.identity:
+        y = group.mul(y, x)
+        k += 1
+    return k
+
+
+def _reference_abelian_type(h, modulo):
+    """Invariant factors of the abelian h/modulo from the number of cosets
+    x modulo whose 2^j-th power lies in modulo, squaring one representative
+    of every coset once per level: the reference for abelian_type_of."""
+    g = h.group
+    nset = modulo.elements
+    cur = list(cosets(g, h.elements, nset))
+    total = len(cur)
+    counts = [1]
+    while counts[-1] < total:
+        cur = [g.mul(x, x) for x in cur]
+        counts.append(sum(1 for x in cur if x in nset))
+    return abelian_type_from_counts(counts)
 
 
 def test_params_validation():
@@ -120,11 +145,21 @@ def test_mul_range_guard():
         g.mul((0, 0, 7, 0, 0), g.identity)
 
 
+@pytest.mark.parametrize("x", [(3, 0, 0, 5, -2), (0, 0, -1, 0, 0), (0, 2, 0, 0, 0),
+                               (0, 0, 0, 2, 0), (0, 0, 0, 0, -1), (0, 0, 4, 0, 0)])
+def test_inv_rejects_exponents_outside_normal_form(x):
+    g = gamma(2, 2, 1)
+    g.inv(g.a3)
+    with pytest.raises(GroupMismatch):
+        g.inv(x)
+    assert len(g._inverses) == 1
+
+
 def test_element_orders_and_centre():
     g = gamma(2, 2, 1)
-    assert element_order(g, g.identity) == 1
-    assert element_order(g, g.c12) == 2
-    assert element_order(g, g.a3) == 8
+    assert _element_order(g, g.identity) == 1
+    assert _element_order(g, g.c12) == 2
+    assert _element_order(g, g.a3) == 8
     z = centre(g)
     for x in z.elements:
         assert all(g.mul(x, y) == g.mul(y, x) for y in g.gens())
@@ -207,9 +242,9 @@ def test_transfer_errors():
     h = subgroup(g, standard_maximal_subgroups(g)[0].generators)
     quarter = subgroup(g, [g.a2, g.c12, g.c13])
     with pytest.raises(IndexNotTwo):
-        transfer(top, quarter, g.a2)
+        transfer_values(top, quarter, [g.a2])
     with pytest.raises(ElementOutsideK):
-        transfer(h, subgroup(g, [g.a2, g.pow(g.a3, 2), g.c12, g.c13]), g.a3)
+        transfer_values(h, subgroup(g, [g.a2, g.pow(g.a3, 2), g.c12, g.c13]), [g.a3])
 
 
 def test_transfer_kernel_orders():
@@ -403,12 +438,25 @@ def test_warmed_inverse_cache_still_rejects_foreign_elements():
 
 def test_element_orders_from_squares():
     for g in _small_groups():
-        assert _element_orders(g) == {x: element_order(g, x) for x in g.elements()}
+        assert _element_orders(g) == {x: _element_order(g, x) for x in g.elements()}
+
+
+def test_abelian_type_of_matches_coset_squaring():
+    for g in _small_groups():
+        top = whole_group(g)
+        der = derived_subgroup(top)
+        trivial = subgroup(g, [])
+        subs = maximal_subgroups(top) + [s for s, _ in subgroups_of_index4(g)]
+        cases = [(sub, derived_subgroup(sub)) for sub in subs]
+        cases += [(top, der), (der, trivial), (centre(g), trivial)]
+        for h, nrm in cases:
+            assert abelian_type_of(h, nrm) == _reference_abelian_type(h, nrm)
 
 
 # sha256 of `quadtower --format json group n m eps --report fingerprint` for
-# the 14 inputs of the fingerprint-groups benchmark workload: a change to the
-# subgroup machinery must leave these outputs byte-identical.
+# the 14 inputs of the fingerprint-groups benchmark workload and for (4, 4, 1),
+# of order 2^11: a change to the subgroup machinery must leave these outputs
+# byte-identical.
 FINGERPRINT_SHA256 = {
     (1, 3, 0): "7406ecfa4d85d5bd2325a812c720db9b40d48f160cbd2545a81b9af9526a376a",
     (1, 3, 1): "2cff42c314087d8c36263146cffb8f670c9d3c07ce4894da4f013fc98cae8909",
@@ -424,6 +472,7 @@ FINGERPRINT_SHA256 = {
     (3, 2, 1): "18d9084b0683884ab3eaf982b38392f37d1133da6b688013e9a3f19331a62bc1",
     (4, 1, 0): "5e7b97db2faf484c7e35bc26d06232d56f0f88dcb137ea7265c0bd67bce85a54",
     (4, 1, 1): "b59dadf6f804561645a20c9d70e16b41082734610e138663c1506b5268d77c6a",
+    (4, 4, 1): "a50726f6595c70e4e4a9616e9654bb6fa3acc331aab0bd3444c9a4347604faa2",
 }
 
 
@@ -492,3 +541,13 @@ def test_subgroup_and_transfer_json_unchanged(capsys, report, n, m, eps):
     out = capsys.readouterr().out
     pinned = SUBGROUPS_SHA256 if report == "subgroups" else TRANSFERS_SHA256
     assert hashlib.sha256(out.encode()).hexdigest() == pinned[n, m, eps]
+
+
+def test_subgroups_json_unchanged_at_order_512(capsys):
+    # sha256 of `quadtower --format json group 3 3 0 --report subgroups`,
+    # recorded before abelian invariants moved to spans of generator powers.
+    assert main(["--format", "json", "group", "3", "3", "0", "--report", "subgroups"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0fe00720445d6bd89ef5dacad3163aa089d4b0c3c2a55a13d5dcac14eff6de2b"
+    )

@@ -26,6 +26,7 @@ from quadtower.quadforms import (
     _sqrt_mod,
     _sylow2_type,
     abelian_type_from_counts,
+    abelian_type_from_powers,
     class_group,
     compose,
     form_pow,
@@ -303,6 +304,29 @@ def test_sylow2_type_matches_plain_composition():
         assert _sylow2_type(list(g.classes), d) == expected == g.abelian_type, d
         if d in SYLOW2_PINNED:
             assert expected.parts == SYLOW2_PINNED[d], d
+
+
+def test_abelian_type_from_powers_squares_only_kept_generators():
+    # A = Z/8 x Z/2 as pairs.  Level 1 squares both generators; (0, 1)^2 is
+    # the identity, so the span drops it and later levels square (2, 0) and
+    # (4, 0) only.
+    squared = []
+
+    def square(x):
+        squared.append(x)
+        return (2 * x[0] % 8, 2 * x[1] % 2)
+
+    def span(xs):
+        elems, used = {(0, 0)}, []
+        for x in xs:
+            if x not in elems:
+                used.append(x)
+                elems |= {((e[0] + k * x[0]) % 8, (e[1] + k * x[1]) % 2)
+                          for e in elems for k in range(8)}
+        return len(elems), used
+
+    assert abelian_type_from_powers(16, [(1, 0), (0, 1)], square, span) == AbelianType.of(8, 2)
+    assert squared == [(1, 0), (0, 1), (2, 0), (4, 0)]
 
 
 @pytest.mark.parametrize("d, k", [(-9748, 12), (-3299, 12)])
