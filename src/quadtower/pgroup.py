@@ -6,10 +6,13 @@ multiplication by collection.  Every subgroup carries a generating set of
 at most log2 of its order elements, and every span grows by one step: a new
 generator extends a subgroup by the right cosets it adds (Dimino).  Derived
 and Frattini subgroups and lower central terms are normal closures of a few
-commutators and squares of those generators, and maximal subgroups come from
-a Burnside basis of h/Phi(h).  Abelian invariants of h/N come from the spans
-<N, x^(2^j)> of powers of h's generators, through the kernel the class groups
-use (quadforms.abelian_type_from_powers).  One coset map, `cosets`, serves
+commutators and squares of those generators; a derived subgroup is certified
+normal with abelian quotient once, where it is built.  Maximal subgroups need
+no span beyond Phi(h): one pass labels the cosets of Phi(h) by subsets of a
+Burnside basis, and each hyperplane preimage is a union of labelled cosets.
+Abelian invariants of h/N come from the spans <N, x^(2^j)> of powers of h's
+generators, through the kernel the class groups use
+(quadforms.abelian_type_from_powers).  One coset map, `cosets`, serves
 transfer kernels and quotients.  PGroup and the quotient groups share one
 protocol: elements(), gens(), mul, inv and identity, with pow and comm from
 _Group.  All operations are exact and exhaustive; PGroup refuses orders
@@ -196,10 +199,16 @@ class TableGroup(_Group):
         return [self._coset_of[x] for x in self._group.gens()]
 
     def mul(self, c1, c2):
-        return self._coset_of[self._group.mul(self._rep[c1], self._rep[c2])]
+        try:
+            return self._coset_of[self._group.mul(self._rep[c1], self._rep[c2])]
+        except KeyError:
+            raise GroupMismatch(f"coset outside quotient: {c1} * {c2}") from None
 
     def inv(self, c):
-        return self._coset_of[self._group.inv(self._rep[c])]
+        try:
+            return self._coset_of[self._group.inv(self._rep[c])]
+        except KeyError:
+            raise GroupMismatch(f"coset outside quotient: {c}") from None
 
 
 def gamma(n: int, m: int, eps: int) -> PGroup:
@@ -299,7 +308,9 @@ def _normalizes(group, conj_gens, sub: Subgroup) -> bool:
 def derived_subgroup(h: Subgroup) -> Subgroup:
     """Commutator subgroup of h: the normal closure in h of the commutators
     of its generators (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 3.3), certified by a normality and commutativity check."""
+    Group Theory, 3.3), certified once: it must be normal in h, and h/h'
+    abelian, which the commutators of generator pairs it was built from
+    show, since comm(y, x) = comm(x, y)^-1 and comm(x, x) = 1."""
     g = h.group
     gens = h.generators
     comms = [g.comm(x, y) for x, y in itertools.combinations(gens, 2)]
@@ -308,10 +319,8 @@ def derived_subgroup(h: Subgroup) -> Subgroup:
     # h/der abelian; together with der <= [h,h] this forces equality.
     if not _normalizes(g, gens, der):
         raise StructureMismatch("derived subgroup candidate not normal")
-    for x in gens:
-        for y in gens:
-            if g.comm(x, y) not in der.elements:
-                raise StructureMismatch("quotient by derived candidate not abelian")
+    if not all(c in der.elements for c in comms):
+        raise StructureMismatch("quotient by derived candidate not abelian")
     return der
 
 
@@ -349,8 +358,8 @@ def lower_central_series(group) -> list[Subgroup]:
 
 
 def abelian_type_of(h: Subgroup, modulo: Subgroup | None = None) -> AbelianType:
-    """Invariant factors of h/modulo, from the spans <modulo, x^(2^j)> of
-    powers of h's generators x (abelian_type_from_powers)."""
+    """Invariant factors of h/modulo, after checking that modulo is normal in
+    h and h/modulo abelian (see _abelian_type)."""
     g = h.group
     if modulo is None:
         modulo = subgroup(g, ())
@@ -364,6 +373,14 @@ def abelian_type_of(h: Subgroup, modulo: Subgroup | None = None) -> AbelianType:
     for x, y in itertools.combinations(h.generators, 2):
         if g.comm(x, y) not in nset:
             raise NonAbelianQuotient("quotient is not abelian")
+    return _abelian_type(h, modulo)
+
+
+def _abelian_type(h: Subgroup, modulo: Subgroup) -> AbelianType:
+    """Invariant factors of h/modulo, for modulo normal in h with h/modulo
+    abelian, from the spans <modulo, x^(2^j)> of powers of h's generators x
+    (abelian_type_from_powers)."""
+    g = h.group
     return abelian_type_from_powers(
         h.order // modulo.order, h.generators,
         lambda x: g.mul(x, x), lambda xs: _span_over(modulo, xs),
@@ -385,8 +402,9 @@ def cosets(group, elements, nset: frozenset) -> dict:
 
 
 def abelianization(h: Subgroup) -> AbelianType:
-    """Invariant factors of h/h'."""
-    return abelian_type_of(h, derived_subgroup(h))
+    """Invariant factors of h/h', read over the h' that derived_subgroup has
+    just certified normal with abelian quotient."""
+    return _abelian_type(h, derived_subgroup(h))
 
 
 # ---------------------------------------------------------------------------
@@ -397,29 +415,48 @@ def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
     """All index-2 subgroups, as preimages of the hyperplanes of h/Phi(h).
 
     A Burnside basis b_1..b_r is read off h's generators: each one outside
-    the span of Phi(h) and the basis so far joins it (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 3.3).  The hyperplane of a
-    nonzero w in F_2^r is spanned by the b_i with w_i = 0 and the b_i0 b_j
-    with w_j = 1, j != i0, where i0 is the first index with w_i = 1.
+    the cosets of Phi(h) labelled so far joins it (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 3.3).  Labels are subsets S of
+    the basis, with y in Phi(h) prod_{i in S} b_i: Phi(h) gets the empty
+    set, and a new b_i gives y b_i the label of y plus {i}, one
+    multiplication per element of h outside Phi(h).  The preimage of the
+    hyperplane of a nonzero w in F_2^r is the union of the cosets whose S
+    meets w in an even number of indices, spanned by Phi(h)'s generators,
+    the b_j with w_j = 0 and the b_i0 b_j with w_j = 1, j != i0, where i0
+    is the first index with w_i = 1.
     """
     g = h.group
     phi = frattini_subgroup(h)
-    size, basis = _span_over(phi, h.generators)
-    if size * phi.order != h.order:
+    label = dict.fromkeys(phi.elements, 0)
+    basis = []
+    for x in h.generators:
+        if x in label:
+            continue
+        bit = 1 << len(basis)
+        basis.append(x)
+        before = len(label)
+        label.update([(g.mul(y, x), s | bit) for y, s in label.items()])
+        # An overlap would leave a hyperplane preimage short of index 2.
+        if len(label) != 2 * before:
+            raise RankMismatch("hyperplane preimage does not have index 2")
+    if len(label) != h.order:
         raise RankMismatch("Burnside basis does not span the subgroup")
+    labelled = [[] for _ in range(1 << len(basis))]
+    for y, s in label.items():
+        labelled[s].append(y)
     out = []
-    for w in range(1, 1 << len(basis)):
+    for w in range(1, len(labelled)):
         i0 = (w & -w).bit_length() - 1
-        seeds = list(phi.generators)
+        gens = list(phi.generators)
         for j, b in enumerate(basis):
             if not w >> j & 1:
-                seeds.append(b)
+                gens.append(b)
             elif j != i0:
-                seeds.append(g.mul(basis[i0], b))
-        sub = subgroup(g, seeds)
-        if 2 * sub.order != h.order:
-            raise RankMismatch("hyperplane preimage does not have index 2")
-        out.append(sub)
+                gens.append(g.mul(basis[i0], b))
+        members = frozenset(
+            y for s, ys in enumerate(labelled) if bin(s & w).count("1") % 2 == 0 for y in ys
+        )
+        out.append(Subgroup(g, members, tuple(gens)))
     return out
 
 
@@ -471,9 +508,14 @@ def genus_subgroup(g: PGroup) -> Subgroup:
 def subgroups_of_index4(group) -> list[tuple[Subgroup, bool]]:
     """All index-4 subgroups with a normality flag, via maximal subgroups of
     maximal subgroups."""
+    return _index4(group, maximal_subgroups(whole_group(group)))
+
+
+def _index4(group, maximals) -> list[tuple[Subgroup, bool]]:
+    """subgroups_of_index4 from the group's maximal subgroups."""
     gens = group.gens()
     seen = {}
-    for mx in maximal_subgroups(whole_group(group)):
+    for mx in maximals:
         for sub in maximal_subgroups(mx):
             seen[sub.elements] = sub
     return [
@@ -493,7 +535,7 @@ def transfer_values(K: Subgroup, H: Subgroup, xs, z=None) -> list:
     if not H.elements <= K.elements or 2 * H.order != K.order:
         raise IndexNotTwo("H must have index 2 in K")
     if z is None:
-        z = next(y for y in sorted(K.elements) if y not in H.elements)
+        z = min(y for y in K.elements if y not in H.elements)
     out = []
     for x in xs:
         if x not in K.elements:
@@ -571,14 +613,15 @@ def fingerprint(group) -> Fingerprint:
     hist: dict[int, int] = {}
     for o in _element_orders(group).values():
         hist[o] = hist.get(o, 0) + 1
-    idx2 = sorted(abelianization(mx).parts for mx in maximal_subgroups(top))
+    maximals = maximal_subgroups(top)
+    idx2 = sorted(abelianization(mx).parts for mx in maximals)
     idx4 = sorted(
         (abelianization(sub).parts, normal)
-        for sub, normal in subgroups_of_index4(group)
+        for sub, normal in _index4(group, maximals)
     )
     return Fingerprint(
         order=top.order,
-        abelianization=abelian_type_of(top, der),
+        abelianization=_abelian_type(top, der),
         derived_type=abelian_type_of(der),
         exponent=max(hist),
         center_order=centre(group).order,

@@ -5,7 +5,6 @@ and the two-sided cross-checks between class-field data and the group engine.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .arith import factor, is_fundamental, kronecker
@@ -365,6 +364,10 @@ def scan(
     while top >= lo:
         chunks.append((max(lo, top - step + 1), top, bound))
         top -= step
+    # Imported here: the pool costs about 2 MB of memory in every process
+    # that imports quadtower, and only a multi-worker scan uses it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_scan_chunk, chunks))
     out = [r for part in parts for r in part]

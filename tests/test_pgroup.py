@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from quadtower import pgroup
 from quadtower.cli import main
 from quadtower.errors import (
     BoundExceeded,
@@ -408,6 +409,89 @@ def test_maximal_subgroups_by_definition():
         assert len({s.elements for s in subs}) == len(subs)
         rank = (top.order // len(phi)).bit_length() - 1
         assert len(subs) == (1 << rank) - 1
+
+
+def _reference_maximal_subgroups(h):
+    """The index-2 subgroups of h, one breadth-first span per hyperplane of
+    h/Phi(h): Phi(h) spanned by the squares of all of h's elements, a
+    Burnside basis b_1..b_r read off h's generators, and for each nonzero w
+    in F_2^r the span of Phi(h), the b_j with w_j = 0 and the b_i0 b_j with
+    w_j = 1, j != i0 (i0 the first index with w_i = 1).  The reference for
+    the labelled cosets of maximal_subgroups."""
+    g = h.group
+    phi = _reference_closure(g, {g.mul(x, x) for x in h.elements})
+
+    def span_over_phi(gens):
+        # Phi(h) is normal in h, so <Phi(h), gens> = Phi(h) <gens>.
+        seen = set(phi)
+        frontier = list(phi)
+        while frontier:
+            x = frontier.pop()
+            for y in gens:
+                xy = g.mul(x, y)
+                if xy not in seen:
+                    seen.add(xy)
+                    frontier.append(xy)
+        return frozenset(seen)
+
+    basis = []
+    for x in h.generators:
+        if x not in span_over_phi(basis):
+            basis.append(x)
+    out = []
+    for w in range(1, 1 << len(basis)):
+        i0 = (w & -w).bit_length() - 1
+        seeds = [b if not w >> j & 1 else g.mul(basis[i0], b)
+                 for j, b in enumerate(basis) if j != i0]
+        out.append(span_over_phi(seeds))
+    return out
+
+
+def test_maximal_subgroups_match_span_per_hyperplane():
+    groups = [gamma(n, m, eps) for n in range(1, 6) for m in range(1, 7 - n) for eps in (0, 1)]
+    for g in groups + [gamma4r(n) for n in (2, 3, 4)]:
+        top = whole_group(g)
+        for h in [top] + maximal_subgroups(top):
+            subs = maximal_subgroups(h)
+            assert [s.elements for s in subs] == _reference_maximal_subgroups(h)
+            for sub in subs:
+                assert closure(g, sub.generators) == sub.elements
+                assert 1 << len(sub.generators) <= sub.order
+
+
+def test_fingerprint_builds_the_maximal_subgroups_once(monkeypatch):
+    g = gamma(2, 3, 1)
+    whole = []
+    real_maximal = pgroup.maximal_subgroups
+
+    def recording(h):
+        if h.order == g.order:
+            whole.append(h)
+        return real_maximal(h)
+
+    products = []
+    real_mul = PGroup.mul
+
+    def counting(self, x, y):
+        products.append(None)
+        return real_mul(self, x, y)
+
+    monkeypatch.setattr(pgroup, "maximal_subgroups", recording)
+    monkeypatch.setattr(PGroup, "mul", counting)
+    fingerprint(g)
+    assert len(whole) == 1
+    assert len(products) <= 8000
+
+
+def test_quotient_rejects_foreign_cosets():
+    g = gamma(1, 2, 0)
+    q = quotient_group(g, lower_central_series(g)[3])
+    with pytest.raises(GroupMismatch):
+        q.mul(frozenset(), q.identity)
+    with pytest.raises(GroupMismatch):
+        q.mul(q.identity, g.identity)
+    with pytest.raises(GroupMismatch):
+        q.inv(g.identity)
 
 
 def test_cached_inverses_match_fresh_groups():

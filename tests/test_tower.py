@@ -1,5 +1,9 @@
 """Field classification, invariants, predictions, cross-checks, scans."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -203,7 +207,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(tower, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(tower.os, "cpu_count", lambda: 3)
     return requested
 
@@ -254,3 +258,14 @@ def test_scan_workers_capped_at_cpu_count(serial_pool):
     assert serial_pool == []
     assert _rows(scan(-8000, -1, workers=100000)) == _rows(serial)
     assert serial_pool == [3]
+
+
+def test_import_does_not_load_the_process_pool():
+    # The pool module is imported only by a scan with more than one worker.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tower.__file__)))
+    code = "import sys, quadtower; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert proc.stdout.decode().strip() == "False"
