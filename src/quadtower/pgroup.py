@@ -642,10 +642,82 @@ def distinguish(g1, g2) -> str:
 # Presentation oracle
 # ---------------------------------------------------------------------------
 
+# Products per sampled triple: (xy)z and x(yz) for associativity; three
+# conjugated double commutators, their product and the Witt word for Hall-Witt.
+_ASSOC_PRODUCTS = 4
+_WITT_PRODUCTS = 46
+_WITT_SAMPLES = 2000
+# Largest group whose Cayley table the sampled checks may read: at 8 bytes a
+# product, 8 MB.
+_TABLE_MAX_ORDER = 1 << 10
+
+
+def _cayley_table(g, els):
+    """(points, mul, inv, identity) over the indices of els, with every
+    product and inverse read off a table that g.mul and g.inv fill once; None
+    if the engine makes a product or inverse outside els."""
+    index = {x: i for i, x in enumerate(els)}
+    try:
+        table = [[index[p] for p in map(g.mul, itertools.repeat(x), els)]
+                 for x in els]
+        inverse = [index[g.inv(x)] for x in els]
+    except KeyError:
+        return None
+    return (range(len(els)), lambda i, j: table[i][j], inverse.__getitem__,
+            index[g.identity])
+
+
+def _associativity_sample(rng, points, mul, count: int) -> bool:
+    """(xy)z == x(yz) on count triples drawn from points in one call."""
+    draw = iter(rng.choices(points, k=3 * count))
+    for x, y, z in zip(draw, draw, draw):
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
+            return False
+    return True
+
+
+def _witt_sample(rng, points, mul, inv, ident, count: int) -> bool:
+    """The Hall-Witt identity, and the Witt word being trivial (true in a
+    metabelian group), on count triples drawn from points in one call."""
+
+    def comm(x, y):
+        return mul(mul(inv(x), inv(y)), mul(x, y))
+
+    def conj(x, y):
+        return mul(mul(inv(y), x), y)
+
+    draw = iter(rng.choices(points, k=3 * count))
+    for x, y, z in zip(draw, draw, draw):
+        t1 = conj(comm(comm(x, inv(y)), z), y)
+        t2 = conj(comm(comm(y, inv(z)), x), z)
+        t3 = conj(comm(comm(z, inv(x)), y), x)
+        if mul(mul(t1, t2), t3) != ident:
+            return False
+        w = mul(mul(comm(comm(x, y), z), comm(comm(y, z), x)),
+                comm(comm(z, x), y))
+        if w != ident:
+            return False
+    return True
+
+
 def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
     """Independent checks that the collection engine realizes the intended
-    presentation: relations, element count, sampled associativity, and the
-    standard commutator identities.  Returns a report dict; never raises."""
+    presentation: element count, identity, inverses, relations, sampled
+    associativity, the standard commutator identities on the generators,
+    sampled Hall-Witt identities and generation, reported in that order.
+    Returns a report dict; never raises.
+
+    The two sampled checks make 4 products per associativity triple and 46
+    per Hall-Witt triple, at most 4 samples + 46 min(samples, 2000) in all
+    (132,000 by default).  When |G|^2 is no more than that (every group up
+    to order 256 by default) and |G| <= 2^10, they run on indices into a
+    Cayley table filled once by g.mul and g.inv, so it holds exactly the
+    engine's products; otherwise they run on g.mul.  Each check draws all
+    its triples with one rng.choices call, over indices on the table path
+    and over g.elements() on the direct path, so a seed samples the same
+    triples on both.  (Before the table, triples were drawn one element at
+    a time: a seed now samples different triples, the same number of them.)
+    """
     report = {"order": None, "failures": [], "seed": seed}
     mul, inv, comm, gpow = g.mul, g.inv, g.comm, g.pow
     ident = g.identity
@@ -683,16 +755,17 @@ def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
         check("rel-c23", c23 == ident)
         check("rel-cijsq", gpow(c12, 2) == ident and gpow(c13, 2) == ident)
 
+    witt_samples = min(samples, _WITT_SAMPLES)
+    products = _ASSOC_PRODUCTS * samples + _WITT_PRODUCTS * witt_samples
+    domain = None
+    if len(els) <= _TABLE_MAX_ORDER and len(els) ** 2 <= products:
+        domain = _cayley_table(g, els)
+    points, smul, sinv, sident = domain or (els, mul, inv, ident)
     rng = random.Random(seed)
-    randrange, size = rng.randrange, len(els)
-    pick = lambda: els[randrange(size)]
-    ok_assoc = all(
-        mul(mul(x, y), z) == mul(x, mul(y, z))
-        for x, y, z in ((pick(), pick(), pick()) for _ in range(samples))
-    )
-    check("associativity-sample", ok_assoc)
+    check("associativity-sample",
+          _associativity_sample(rng, points, smul, samples))
 
-    # Commutator identities on generators (metabelian form) and random triples.
+    # Commutator identities on generators (metabelian form).
     gens = [a1, a2, a3]
     ok_gen = True
     for i, j, l in itertools.product(range(3), repeat=3):
@@ -709,25 +782,8 @@ def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
             ok_gen = False
     check("product-commutator-identities", ok_gen)
 
-    def conj(x, y):
-        return mul(mul(inv(y), x), y)
-
-    ok_witt = True
-    for _ in range(min(samples, 2000)):
-        x, y, z = pick(), pick(), pick()
-        t1 = conj(comm(comm(x, inv(y)), z), y)
-        t2 = conj(comm(comm(y, inv(z)), x), z)
-        t3 = conj(comm(comm(z, inv(x)), y), x)
-        if mul(mul(t1, t2), t3) != ident:
-            ok_witt = False
-            break
-        # Witt congruence mod G'' (trivial here: metabelian groups).
-        w = mul(mul(comm(comm(x, y), z), comm(comm(y, z), x)),
-                comm(comm(z, x), y))
-        if w != ident:
-            ok_witt = False
-            break
-    check("witt-identities", ok_witt)
+    check("witt-identities",
+          _witt_sample(rng, points, smul, sinv, sident, witt_samples))
 
     check("generation", len(closure(g, gens)) == g.order)
     report["ok"] = not report["failures"]

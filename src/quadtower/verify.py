@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .arith import is_fundamental, prime_discriminants
+from .errors import InvalidArgument
 from .genus import chi_eval
 from .pgroup import (
     PGroup,
@@ -403,12 +404,18 @@ def criterion_oracles(
         report = verify_presentation(gamma4r(n), seed=seed)
         res.checks.append(Check(f"presentation-4r({n})", [], report["failures"]))
 
+    survey = [d for d in range(-3, -character_limit - 1, -1) if is_fundamental(d)]
+    survey += [-2244, -2580, -5412, 204, 561]
+    # The class groups of the survey that the axioms loop builds on its way.
+    survey_groups = dict.fromkeys(survey)
     rng = random.Random(seed)
     axiom_failures: list[str] = []
     for d in range(-3, -disc_limit - 1, -1):
         if not is_fundamental(d):
             continue
         group = class_group(d)
+        if d in survey_groups:
+            survey_groups[d] = group
         cls = group.classes
         clset = set(cls)
         one = reduce_form(principal_form(d))
@@ -434,12 +441,12 @@ def criterion_oracles(
     res.checks.append(Check("composition-group-axioms", [], axiom_failures))
 
     character_failures: list[str] = []
-    survey = [d for d in range(-3, -character_limit - 1, -1) if is_fundamental(d)]
-    survey += [-2244, -2580, -5412, 204, 561]
     for d in survey:
-        for c in class_group(d).classes:
+        group = survey_groups[d] or class_group(d)
+        d_is = prime_discriminants(d)
+        for c in group.classes:
             prod = 1
-            for d_i in prime_discriminants(d):
+            for d_i in d_is:
                 prod *= chi_eval(d, d_i, c)
             if prod != 1:
                 character_failures.append(f"{d}: product != +1 on {c}")
@@ -452,7 +459,10 @@ def run_all(
     seed: int = 0,
     bound: int = 2 * 10**6,
 ) -> list[CriterionResult]:
-    """Run the full verification matrix in order."""
+    """Run the full verification matrix in order.  A grid below 2 holds no
+    (n, m) point, so it is refused rather than passed with no checks."""
+    if grid is not None and grid < 2:
+        raise InvalidArgument(f"verify needs grid >= 2, got {grid}")
     return [
         criterion_realization(grid),
         criterion_lower_central(grid),

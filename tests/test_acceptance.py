@@ -12,6 +12,7 @@ import json
 import pytest
 
 from quadtower import pgroup, verify
+from quadtower.arith import is_fundamental
 from quadtower.pgroup import (
     distinguish,
     gamma,
@@ -119,6 +120,23 @@ def test_criterion_tables_derived_subgroup_calls(monkeypatch):
         monkeypatch.setattr(module, "derived_subgroup", counting)
     assert criterion_tables().passed
     assert len(calls) <= 64
+
+
+def test_criterion_oracles_builds_each_class_group_once(monkeypatch):
+    # The genus survey reads the class groups the axioms loop has built; only
+    # its extra discriminants outside [-800, -3] are built for it.
+    built = []
+    real = verify.class_group
+
+    def recording(d, *args, **kwargs):
+        built.append(d)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "class_group", recording)
+    result = criterion_oracles(grid=1, disc_limit=800, character_limit=300)
+    assert result.passed
+    fundamental = [d for d in range(-3, -801, -1) if is_fundamental(d)]
+    assert sorted(built) == sorted(fundamental + [-2244, -2580, -5412, 204, 561])
 
 
 @pytest.mark.xfail(

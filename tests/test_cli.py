@@ -135,6 +135,15 @@ def test_group_order_limit_exit1(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_verify_grid_below_2_exit1(capsys):
+    # A grid below 2 holds no (n, m) point; it used to pass with no checks.
+    for grid in ("1", "0", "-3"):
+        code, out, err = run(capsys, "verify", "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+
 def test_usage_error_exit1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

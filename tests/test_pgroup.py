@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -313,6 +314,102 @@ def test_verify_presentation_clean():
         assert report["seed"] == 1
 
 
+class _CorruptedC12(PGroup):
+    """An engine with one wrong product family: the c12 bit flips when both
+    a3-exponents are 3 and the left factor has c12.  The relations, the
+    identity and inverse laws and the commutator identities on generators
+    still hold, so only a sampled check can see it."""
+
+    def mul(self, x, y):
+        p = super().mul(x, y)
+        if x[2] == y[2] == 3 and x[3] == 1:
+            p = p[:3] + (p[3] ^ 1,) + p[4:]
+        return p
+
+
+def _count_products(monkeypatch):
+    products = []
+    real_mul = PGroup.mul
+
+    def counting(self, x, y):
+        products.append(None)
+        return real_mul(self, x, y)
+
+    monkeypatch.setattr(PGroup, "mul", counting)
+    return products
+
+
+def test_verify_presentation_catches_corrupted_products():
+    # Gamma4r(4) (order 256) at the default samples reads the Cayley table;
+    # Gamma(3,3,1) (order 512), and Gamma4r(4) at 300 samples, sample the
+    # engine directly.
+    for params, samples in (
+        (GroupParams(4, 1, 1, "Gamma4r"), 10**4),
+        (GroupParams(4, 1, 1, "Gamma4r"), 300),
+        (GroupParams(3, 3, 1), 10**4),
+    ):
+        report = verify_presentation(_CorruptedC12(params), seed=0, samples=samples)
+        assert report["failures"] == ["associativity-sample"], (params, samples)
+        assert not report["ok"]
+
+
+def test_verify_presentation_reports_failures_in_check_order():
+    params = GroupParams(2, 1, 1, "Gamma4r")
+    for seed in (0, 1):
+        report = verify_presentation(_CorruptedC12(params), seed=seed)
+        assert report["failures"] == [
+            "associativity-sample", "product-commutator-identities"
+        ]
+
+
+def test_verify_presentation_table_and_engine_paths_agree(monkeypatch):
+    params = GroupParams(4, 1, 1, "Gamma4r")
+    products = _count_products(monkeypatch)
+    table = verify_presentation(_CorruptedC12(params), seed=3)
+    table_products = len(products)
+    monkeypatch.setattr(pgroup, "_cayley_table", lambda g, els: None)
+    products.clear()
+    engine = verify_presentation(_CorruptedC12(params), seed=3)
+    assert table_products <= 70_000 < len(products)
+    assert table["failures"] == engine["failures"] == ["associativity-sample"]
+
+
+def test_sampled_checks_draw_the_same_triples_on_both_paths():
+    # One seed feeds the same products, in the same order, to the check
+    # body over element tuples and over Cayley-table indices.
+    g = gamma4r(3)
+    els = g.elements()
+    points, tmul, tinv, tident = pgroup._cayley_table(g, els)
+    assert els[tident] == g.identity
+
+    def recorder(mul, name):
+        calls = []
+
+        def recording(x, y):
+            calls.append((name(x), name(y)))
+            return mul(x, y)
+
+        return calls, recording
+
+    direct_calls, direct_mul = recorder(g.mul, lambda x: x)
+    table_calls, table_mul = recorder(tmul, els.__getitem__)
+    assert pgroup._associativity_sample(random.Random(5), els, direct_mul, 40)
+    assert pgroup._associativity_sample(random.Random(5), points, table_mul, 40)
+    assert pgroup._witt_sample(random.Random(5), els, direct_mul, g.inv, g.identity, 40)
+    assert pgroup._witt_sample(random.Random(5), points, table_mul, tinv, tident, 40)
+    assert len(direct_calls) == 40 * (4 + 46)
+    assert direct_calls == table_calls
+
+
+def test_verify_presentation_reads_each_product_once_up_to_order_256(monkeypatch):
+    products = _count_products(monkeypatch)
+    report = verify_presentation(gamma4r(4))
+    assert report["failures"] == []
+    # 65,536 table entries plus the unsampled checks; sampling the engine
+    # takes 134,081.
+    assert len(products) <= 70_000
+
+
 def _small_groups():
     """Gamma_{n,m,eps} for n + m <= 4, Gamma_2^(4r), and the two order-64
     quotients Gamma_{1,2,eps}/G_4 that criterion 6 separates."""
@@ -469,15 +566,8 @@ def test_fingerprint_builds_the_maximal_subgroups_once(monkeypatch):
             whole.append(h)
         return real_maximal(h)
 
-    products = []
-    real_mul = PGroup.mul
-
-    def counting(self, x, y):
-        products.append(None)
-        return real_mul(self, x, y)
-
     monkeypatch.setattr(pgroup, "maximal_subgroups", recording)
-    monkeypatch.setattr(PGroup, "mul", counting)
+    products = _count_products(monkeypatch)
     fingerprint(g)
     assert len(whole) == 1
     assert len(products) <= 8000
