@@ -161,10 +161,10 @@ def _group_report(g, kind: str):
             out.append({"abelianization": pgroup.abelianization(sub), "normal": normal})
         return out
     if kind == "transfers":
-        subs = pgroup.standard_maximal_subgroups(g)
+        subs, phi = pgroup.standard_maximal_subgroups(g)
         kernels = pgroup.transfer_kernel(pgroup.whole_group(g), subs)
         out = {f"ker_t{j}_order": order for j, (order, _) in enumerate(kernels, start=1)}
-        h2, inter = pgroup.capitulation_subgroups(subs[0], subs[1])
+        h2, inter = pgroup.capitulation_subgroups(subs, phi)
         ((order, _),) = pgroup.transfer_kernel(h2, [inter])
         out["ker_H2_to_H1capH2_order"] = order
         return out
@@ -175,15 +175,18 @@ def _group_report(g, kind: str):
 
 def cmd_group(args, config) -> int:
     g = pgroup.gamma(args.n, args.m, args.eps)
-    top = pgroup.whole_group(g)
-    result = {
-        "params": g.params,
-        "order": g.order,
-        "abelianization": pgroup.abelianization(top),
-        "derived_type": pgroup.abelian_type_of(pgroup.derived_subgroup(top)),
-    }
+    result = {"params": g.params, "order": g.order}
     if args.report:
         result[args.report] = _group_report(g, args.report)
+    if args.report == "fingerprint":
+        # The fingerprint has read both invariants over its one G'.
+        for key in ("abelianization", "derived_type"):
+            result[key] = result["fingerprint"][key]
+    else:
+        top = pgroup.whole_group(g)
+        der = pgroup.derived_subgroup(top)
+        result["abelianization"] = pgroup.abelian_type_of(top, der)
+        result["derived_type"] = pgroup.abelian_type_of(der)
     if args.format == "json":
         _emit_json("group", config, [result], [])
     else:

@@ -10,8 +10,12 @@ commutators and squares of those generators; a derived subgroup is certified
 normal with abelian quotient once, where it is built.  Maximal subgroups need
 no span beyond Phi(h): one pass labels the cosets of Phi(h) by subsets of a
 Burnside basis, and each hyperplane preimage is a union of labelled cosets.
-Abelian invariants of h/N come from the spans <N, x^(2^j)> of powers of h's
-generators, through the kernel the class groups use
+The paper's named subgroups of Gamma are read off that one pass, not spanned
+from generator recipes: H_1..H_7 are the preimages of seven fixed characters
+of G/Phi(G) on (a1, a2, a3), the genus field's subgroup is Phi(G) itself,
+and H_1 cap H_2 is one coset step over it.  `subgroup` is the one span
+constructor.  Abelian invariants of h/N come from the spans <N, x^(2^j)> of
+powers of h's generators, through the kernel the class groups use
 (quadforms.abelian_type_from_powers).  One coset map, `cosets`, serves
 transfer kernels and quotients.  PGroup and the quotient groups share one
 protocol: elements(), gens(), mul, inv and identity, with pow and comm from
@@ -285,10 +289,6 @@ def subgroup(group, seeds, conj_gens=()) -> Subgroup:
     return sub
 
 
-def closure(group, gens) -> frozenset:
-    return subgroup(group, gens).elements
-
-
 def whole_group(group) -> Subgroup:
     return Subgroup(group, frozenset(group.elements()), tuple(group.gens()))
 
@@ -411,19 +411,16 @@ def abelianization(h: Subgroup) -> AbelianType:
 # Maximal and index-4 subgroups
 # ---------------------------------------------------------------------------
 
-def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
-    """All index-2 subgroups, as preimages of the hyperplanes of h/Phi(h).
+def _frattini_labelling(h: Subgroup) -> tuple[Subgroup, list, list[list]]:
+    """Phi(h), a Burnside basis b_1..b_r of h, and the elements of h grouped
+    by label.
 
-    A Burnside basis b_1..b_r is read off h's generators: each one outside
-    the cosets of Phi(h) labelled so far joins it (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 3.3).  Labels are subsets S of
-    the basis, with y in Phi(h) prod_{i in S} b_i: Phi(h) gets the empty
+    The basis is read off h's generators: each one outside the cosets of
+    Phi(h) labelled so far joins it (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 3.3).  Labels are subsets S of the basis,
+    as bit masks, with y in Phi(h) prod_{i in S} b_i: Phi(h) gets the empty
     set, and a new b_i gives y b_i the label of y plus {i}, one
-    multiplication per element of h outside Phi(h).  The preimage of the
-    hyperplane of a nonzero w in F_2^r is the union of the cosets whose S
-    meets w in an even number of indices, spanned by Phi(h)'s generators,
-    the b_j with w_j = 0 and the b_i0 b_j with w_j = 1, j != i0, where i0
-    is the first index with w_i = 1.
+    multiplication per element of h outside Phi(h).
     """
     g = h.group
     phi = frattini_subgroup(h)
@@ -444,65 +441,57 @@ def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
     labelled = [[] for _ in range(1 << len(basis))]
     for y, s in label.items():
         labelled[s].append(y)
-    out = []
-    for w in range(1, len(labelled)):
-        i0 = (w & -w).bit_length() - 1
-        gens = list(phi.generators)
-        for j, b in enumerate(basis):
-            if not w >> j & 1:
-                gens.append(b)
-            elif j != i0:
-                gens.append(g.mul(basis[i0], b))
-        members = frozenset(
-            y for s, ys in enumerate(labelled) if bin(s & w).count("1") % 2 == 0 for y in ys
-        )
-        out.append(Subgroup(g, members, tuple(gens)))
-    return out
+    return phi, basis, labelled
 
 
-def _standard_generators(g: PGroup) -> list[list[Element]]:
-    """Generators of H_1..H_7 in the standard labeling by generator
-    patterns: H_1 = <a1,a2,a3^2,c13,c12>, H_2 = <a2,a3,...>,
-    H_3 = <a1a3,a2,...>, H_4 = <a1,a3,...>, H_5 = <a1a2,a3,...>,
-    H_6 = <a2a3,a1,...>, H_7 = <a1a2,a2a3,...>."""
-    a1, a2, a3 = g.a1, g.a2, g.a3
-    sq = g.mul(a3, a3)
-    tail = [g.c12, g.c13]
-    return [
-        [a1, a2, sq] + tail,
-        [a2, a3] + tail,
-        [g.mul(a1, a3), a2] + tail,
-        [a1, a3] + tail,
-        [g.mul(a1, a2), a3] + tail,
-        [g.mul(a2, a3), a1] + tail,
-        [g.mul(a1, a2), g.mul(a2, a3)] + tail,
-    ]
+def _hyperplane_preimage(phi: Subgroup, basis, labelled, w: int) -> Subgroup:
+    """The preimage of the hyperplane of a nonzero w in F_2^r: the union of
+    the cosets whose label meets w in an even number of indices, spanned by
+    Phi(h)'s generators, the b_j with w_j = 0 and the b_i0 b_j with w_j = 1,
+    j != i0, where i0 is the first index with w_i = 1."""
+    g = phi.group
+    i0 = (w & -w).bit_length() - 1
+    gens = list(phi.generators)
+    for j, b in enumerate(basis):
+        if not w >> j & 1:
+            gens.append(b)
+        elif j != i0:
+            gens.append(g.mul(basis[i0], b))
+    members = frozenset(
+        y for s, ys in enumerate(labelled) if bin(s & w).count("1") % 2 == 0 for y in ys
+    )
+    return Subgroup(g, members, tuple(gens))
 
 
-def standard_maximal_subgroups(g: PGroup) -> list[Subgroup]:
-    """The seven maximal subgroups H_1..H_7 in the standard labeling (see
-    _standard_generators)."""
-    subs = [subgroup(g, gl) for gl in _standard_generators(g)]
-    half = g.order // 2
-    if any(s.order != half for s in subs) or len({s.elements for s in subs}) != 7:
-        raise RankMismatch("standard maximal subgroups are not the 7 expected")
-    return subs
+def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
+    """All index-2 subgroups, as the preimages of the hyperplanes of
+    h/Phi(h) for w = 1 .. 2^r - 1, read off one labelling pass."""
+    phi, basis, labelled = _frattini_labelling(h)
+    return [_hyperplane_preimage(phi, basis, labelled, w) for w in range(1, len(labelled))]
 
 
-def capitulation_subgroups(h1: Subgroup, h2: Subgroup) -> tuple[Subgroup, Subgroup]:
-    """H_2 and H_1 cap H_2 = <a2,a3^2,c12,c13>, given the standard H_1 and
-    H_2: the transfer from H_2 to the intersection has a kernel of order 8
-    for eps = 0 and 4 for eps = 1 (capitulation in K/k(sqrt(p)))."""
-    g = h2.group
-    inter = subgroup(g, [g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
-    if not (inter.elements <= h1.elements and inter.elements <= h2.elements):
-        raise StructureMismatch("H1 and H2 intersection subgroup mismatch")
-    return h2, inter
+# H_1..H_7 are the kernels of these characters of G/Phi(G), with bit i on
+# a_(i+1): H_1 is the kernel of the a3 character, H_2 of a1, H_3 of a1 + a3,
+# H_4 of a2, H_5 of a1 + a2, H_6 of a2 + a3 and H_7 of a1 + a2 + a3.
+_STANDARD_CHARACTERS = (4, 1, 5, 2, 3, 6, 7)
 
 
-def genus_subgroup(g: PGroup) -> Subgroup:
-    """<a3^2, c13, c12>, the subgroup fixing the genus field."""
-    return subgroup(g, [g.mul(g.a3, g.a3), g.c13, g.c12])
+def standard_maximal_subgroups(g: PGroup) -> tuple[list[Subgroup], Subgroup]:
+    """The seven maximal subgroups H_1..H_7 in the standard labeling, and
+    the Phi(G) they were read over, which fixes the genus field: one
+    labelling pass over G, whose Burnside basis must be (a1, a2, a3)."""
+    phi, basis, labelled = _frattini_labelling(whole_group(g))
+    if basis != [g.a1, g.a2, g.a3]:
+        raise RankMismatch("Burnside basis of the group is not (a1, a2, a3)")
+    subs = [_hyperplane_preimage(phi, basis, labelled, w) for w in _STANDARD_CHARACTERS]
+    return subs, phi
+
+
+def capitulation_subgroups(subs: list[Subgroup], phi: Subgroup) -> tuple[Subgroup, Subgroup]:
+    """H_2 and H_1 cap H_2 = <Phi(G), a2>, from standard_maximal_subgroups:
+    the transfer from H_2 to the intersection has a kernel of order 8 for
+    eps = 0 and 4 for eps = 1 (capitulation in K/k(sqrt(p)))."""
+    return subs[1], _extend(phi, phi.group.a2)
 
 
 def subgroups_of_index4(group) -> list[tuple[Subgroup, bool]]:
@@ -785,6 +774,6 @@ def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
     check("witt-identities",
           _witt_sample(rng, points, smul, sinv, sident, witt_samples))
 
-    check("generation", len(closure(g, gens)) == g.order)
+    check("generation", subgroup(g, gens).order == g.order)
     report["ok"] = not report["failures"]
     return report

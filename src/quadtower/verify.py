@@ -20,7 +20,6 @@ from .pgroup import (
     abelian_type_of,
     abelianization,
     capitulation_subgroups,
-    closure,
     cosets,
     derived_subgroup,
     distinguish,
@@ -90,21 +89,15 @@ def criterion_realization(grid: int | None = None) -> CriterionResult:
     for n, m in grid_points(grid):
         for eps in (0, 1):
             g = gamma(n, m, eps)
+            top = whole_group(g)
+            der = derived_subgroup(top)
             tag = f"({n},{m},{eps})"
             res.checks.append(Check(f"order{tag}", 1 << (n + m + 3), g.order))
+            res.checks.append(Check(
+                f"abelianization{tag}", AbelianType.of(1 << n, 2, 2), abelian_type_of(top, der)
+            ))
             res.checks.append(
-                Check(
-                    f"abelianization{tag}",
-                    AbelianType.of(1 << n, 2, 2),
-                    abelianization(whole_group(g)),
-                )
-            )
-            res.checks.append(
-                Check(
-                    f"derived{tag}",
-                    AbelianType.of(1 << m, 2),
-                    abelian_type_of(derived_subgroup(whole_group(g))),
-                )
+                Check(f"derived{tag}", AbelianType.of(1 << m, 2), abelian_type_of(der))
             )
     return res
 
@@ -120,7 +113,7 @@ def criterion_lower_central(grid: int | None = None) -> CriterionResult:
             for j, term in enumerate(series, start=1):
                 if j < 3:
                     continue
-                expected = closure(g, [g.pow(g.c13, 1 << (j - 2))])
+                expected = subgroup(g, [g.pow(g.c13, 1 << (j - 2))]).elements
                 res.checks.append(
                     Check(f"G_{j}{tag}", sorted(expected), sorted(term.elements))
                 )
@@ -179,7 +172,7 @@ def criterion_tables(points=((2, 2), (3, 2))) -> CriterionResult:
         for eps in (0, 1):
             g = gamma(n, m, eps)
             tag = f"({n},{m},{eps})"
-            subs = standard_maximal_subgroups(g)
+            subs, _ = standard_maximal_subgroups(g)
             top = whole_group(g)
             gprime = derived_subgroup(top)
             hprimes = [derived_subgroup(sub).elements for sub in subs]
@@ -187,7 +180,7 @@ def criterion_tables(points=((2, 2), (3, 2))) -> CriterionResult:
                 zip(hprimes, _expected_derived_gens(g)), start=1
             ):
                 res.checks.append(
-                    Check(f"H{j}'{tag}", sorted(closure(g, dgens)), sorted(hprime))
+                    Check(f"H{j}'{tag}", sorted(subgroup(g, dgens).elements), sorted(hprime))
                 )
             values = _expected_transfer_values(g)
             kernels = _expected_kernel_gens(g, n)
@@ -213,8 +206,7 @@ def criterion_capitulation(grid: int | None = None) -> CriterionResult:
     res = CriterionResult(4, "capitulation-kernel")
     for n, m in grid_points(grid):
         for eps in (0, 1):
-            subs = standard_maximal_subgroups(gamma(n, m, eps))
-            h2, inter = capitulation_subgroups(subs[0], subs[1])
+            h2, inter = capitulation_subgroups(*standard_maximal_subgroups(gamma(n, m, eps)))
             ((order, _),) = transfer_kernel(h2, [inter])
             res.checks.append(
                 Check(f"kernel-order({n},{m},{eps})", 8 if eps == 0 else 4, order)
@@ -295,13 +287,13 @@ def criterion_separation() -> CriterionResult:
 
 
 def criterion_real_family() -> CriterionResult:
-    """In Gamma_{n,1,0}, the designated maximal subgroup has transfer
+    """In Gamma_{n,1,0}, the designated maximal subgroup H_6 has transfer
     kernel of order 8, for n = 2..5."""
     res = CriterionResult(7, "real-family-kernel")
     for n in range(2, 6):
         g = gamma(n, 1, 0)
-        h = subgroup(g, [g.mul(g.a2, g.a3), g.a1, g.c12, g.c13])
-        ((order, _),) = transfer_kernel(whole_group(g), [h])
+        subs, _ = standard_maximal_subgroups(g)
+        ((order, _),) = transfer_kernel(whole_group(g), [subs[5]])
         res.checks.append(Check(f"kernel-order(n={n})", 8, order))
     return res
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import quadtower
+from quadtower import pgroup
 from quadtower.cli import CSV_COLUMNS, main
 from quadtower.pgroup import PGroup
 
@@ -88,6 +89,22 @@ def test_group_report(capsys):
     transfers = doc["results"][0]["transfers"]
     assert transfers["ker_t2_order"] == 2
     assert transfers["ker_H2_to_H1capH2_order"] == 8
+
+
+def test_group_fingerprint_derives_the_whole_group_once(capsys, monkeypatch):
+    # The abelianization and derived type printed beside the fingerprint are
+    # read over the fingerprint's own G'.
+    orders = []
+    real = pgroup.derived_subgroup
+
+    def counting(h):
+        orders.append(h.order)
+        return real(h)
+
+    monkeypatch.setattr(pgroup, "derived_subgroup", counting)
+    code, _, _ = run(capsys, "--format", "json", "group", "2", "3", "1", "--report", "fingerprint")
+    assert code == 0
+    assert orders.count(256) == 1
 
 
 def test_scan_text_and_csv(capsys, tmp_path):

@@ -25,7 +25,6 @@ from quadtower.pgroup import (
     abelianization,
     capitulation_subgroups,
     centre,
-    closure,
     cosets,
     derived_subgroup,
     distinguish,
@@ -33,7 +32,6 @@ from quadtower.pgroup import (
     frattini_subgroup,
     gamma,
     gamma4r,
-    genus_subgroup,
     lower_central_series,
     maximal_subgroups,
     quotient_group,
@@ -221,13 +219,40 @@ def test_abelian_check_over_generators_matches_all_pairs():
                         abelian_type_of(h, nrm)
 
 
-def test_generic_vs_standard_maximal_subgroups():
-    for n, m, eps in ((2, 2, 0), (2, 2, 1)):
-        g = gamma(n, m, eps)
-        generic = {s.elements for s in maximal_subgroups(whole_group(g))}
-        labeled = {s.elements for s in standard_maximal_subgroups(g)}
-        assert generic == labeled
-        assert len(generic) == 7
+def _standard_recipes(g):
+    """The paper's named subgroups of g as generator recipes: H_1..H_7,
+    Phi(G) (fixing the genus field) and H_1 cap H_2.  The reference the
+    subgroups read off the Frattini labelling are checked against."""
+    a1, a2, a3 = g.a1, g.a2, g.a3
+    sq = g.mul(a3, a3)
+    tail = [g.c12, g.c13]
+    maximal = [
+        [a1, a2, sq] + tail,
+        [a2, a3] + tail,
+        [g.mul(a1, a3), a2] + tail,
+        [a1, a3] + tail,
+        [g.mul(a1, a2), a3] + tail,
+        [g.mul(a2, a3), a1] + tail,
+        [g.mul(a1, a2), g.mul(a2, a3)] + tail,
+    ]
+    return maximal, [sq, g.c13, g.c12], [a2, sq, g.c12, g.c13]
+
+
+def test_standard_subgroups_match_generator_recipes():
+    groups = [gamma(n, m, eps) for n in range(1, 6) for m in range(1, 7 - n) for eps in (0, 1)]
+    for g in groups:
+        maximal, genus, inter = _standard_recipes(g)
+        subs, phi = standard_maximal_subgroups(g)
+        assert [s.elements for s in subs] == [_reference_closure(g, r) for r in maximal]
+        assert phi.elements == _reference_closure(g, genus)
+        h2, capitulation = capitulation_subgroups(subs, phi)
+        assert h2 is subs[1]
+        assert capitulation.elements == _reference_closure(g, inter)
+    # Criterion 7's subgroup of Gamma_{n,1,0} is H_6.
+    for n in range(2, 6):
+        g = gamma(n, 1, 0)
+        h6 = _reference_closure(g, [g.mul(g.a2, g.a3), g.a1, g.c12, g.c13])
+        assert standard_maximal_subgroups(g)[0][5].elements == h6
 
 
 def test_subgroups_of_index4_counts():
@@ -241,7 +266,7 @@ def test_subgroups_of_index4_counts():
 def test_transfer_errors():
     g = gamma(2, 2, 1)
     top = whole_group(g)
-    h = subgroup(g, standard_maximal_subgroups(g)[0].generators)
+    h = standard_maximal_subgroups(g)[0][0]
     quarter = subgroup(g, [g.a2, g.c12, g.c13])
     with pytest.raises(IndexNotTwo):
         transfer_values(top, quarter, [g.a2])
@@ -252,7 +277,7 @@ def test_transfer_errors():
 def test_transfer_kernel_orders():
     g = gamma(2, 2, 1)
     top = whole_group(g)
-    subs = standard_maximal_subgroups(g)
+    subs, _ = standard_maximal_subgroups(g)
     orders = [order for order, _ in transfer_kernel(top, subs)]
     assert orders == [4, 2, 4, 4, 4, 4, 4]
 
@@ -467,13 +492,12 @@ def test_named_subgroups_are_spans_of_their_generators():
     # these are the paper's named subgroups and plain spans of two elements.
     for g in _small_groups():
         if isinstance(g, PGroup):
-            subs = standard_maximal_subgroups(g)
-            named = subs + list(capitulation_subgroups(subs[0], subs[1]))
-            for sub in named + [genus_subgroup(g)]:
+            subs, phi = standard_maximal_subgroups(g)
+            for sub in subs + [phi, capitulation_subgroups(subs, phi)[1]]:
                 _assert_small_generating_set(sub)
                 _assert_small_generating_set(derived_subgroup(sub))
         for seeds in itertools.combinations(g.elements()[1::9], 2):
-            assert closure(g, seeds) == _reference_closure(g, seeds)
+            assert subgroup(g, seeds).elements == _reference_closure(g, seeds)
 
 
 def test_cosets_partition_into_equal_disjoint_cosets():
@@ -552,7 +576,7 @@ def test_maximal_subgroups_match_span_per_hyperplane():
             subs = maximal_subgroups(h)
             assert [s.elements for s in subs] == _reference_maximal_subgroups(h)
             for sub in subs:
-                assert closure(g, sub.generators) == sub.elements
+                assert subgroup(g, sub.generators).elements == sub.elements
                 assert 1 << len(sub.generators) <= sub.order
 
 

@@ -148,12 +148,15 @@ def test_crosscheck_builds_each_class_group_once(monkeypatch):
 
 
 def test_crosscheck_derives_and_builds_each_subgroup_once(monkeypatch):
+    # One labelling pass over Gamma gives H_1..H_7 and Phi(G), whose only span
+    # is the pass's own normal closure; H_1 cap H_2 is one coset step over it.
     # One transfer-kernel pass from Gamma over H_1..H_7 and one from H_2 to
-    # H_1 cap H_2: G', H_1'..H_7', H_2' and (H_1 cap H_2)', and H_1 and H_2
-    # built once by standard_maximal_subgroups.
+    # H_1 cap H_2 derive G', H_1'..H_7', H_2' and (H_1 cap H_2)'.
     derived = Counter()
     spans = Counter()
+    labelled = []
     real_derived, real_subgroup = pgroup.derived_subgroup, pgroup.subgroup
+    real_labelling = pgroup._frattini_labelling
 
     def counting_derived(h):
         derived[h.elements] += 1
@@ -164,16 +167,24 @@ def test_crosscheck_derives_and_builds_each_subgroup_once(monkeypatch):
         spans[sub.elements] += 1
         return sub
 
+    def counting_labelling(h):
+        labelled.append(h.order)
+        return real_labelling(h)
+
     for module in (pgroup, tower):
         monkeypatch.setattr(module, "derived_subgroup", counting_derived)
     monkeypatch.setattr(pgroup, "subgroup", counting_subgroup)
+    monkeypatch.setattr(pgroup, "_frattini_labelling", counting_labelling)
     assert tower.crosscheck(-329988).all_passed
     assert sum(derived.values()) <= 10
     g = pgroup.gamma(4, 4, 1)
+    assert labelled == [g.order]
     h1 = real_subgroup(g, [g.a1, g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
     h2 = real_subgroup(g, [g.a2, g.a3, g.c12, g.c13])
-    assert spans[h1.elements] == 1
-    assert spans[h2.elements] == 1
+    phi = real_subgroup(g, [g.mul(g.a3, g.a3), g.c12, g.c13])
+    inter = real_subgroup(g, [g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
+    assert spans[h1.elements] == spans[h2.elements] == spans[inter.elements] == 0
+    assert spans[phi.elements] == 1
 
 
 @pytest.fixture(scope="module")
