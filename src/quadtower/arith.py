@@ -70,12 +70,17 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def factor(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
-    """Prime factors of n >= 1 with multiplicity, sorted; trial division."""
+def check_factorable(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> None:
+    """Raise what factor(n, bound) raises for an n outside [1, bound]."""
     if n < 1:
         raise InvalidArgument(f"factor requires n >= 1, got {n}")
     if n > bound:
         raise BoundExceeded(f"{n} exceeds factoring bound {bound}")
+
+
+def factor(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
+    """Prime factors of n >= 1 with multiplicity, sorted; trial division."""
+    check_factorable(n, bound)
     out: list[int] = []
     for p in (2, 3):
         while n % p == 0:

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from math import isqrt
 
-from .arith import factor, is_fundamental, kronecker
+from .arith import check_factorable, is_fundamental, is_prime, kronecker
 from .errors import (
     InvalidArgument,
     NotFundamental,
@@ -94,39 +95,65 @@ class TowerReport:
 
 
 def _try_4pqr(d: int) -> FieldClassification | None:
-    """Match d = -4pqq' with the congruence and symbol conditions."""
+    """Match d = -4pqq' with the congruence and symbol conditions.
+
+    The core -d/4 is trial-divided only as far as the family needs.  The
+    smallest of three primes, p1, lies at or below the cube root of the core
+    and the next, p2, at or below the square root of core/p1; the cofactor
+    p3 = core/(p1 p2) must be prime.  A repeated prime, a prime = 7 (mod 8)
+    or a cofactor residue the family rules out ends the match at once.  Both
+    (p/q) and (p/q') are read before p3 is tested and before any Check is
+    built, and the witness is built for the one ordering (q, q') with
+    (-q/q') = -1: q and q' are distinct primes = 3 (mod 4), so by
+    reciprocity exactly one ordering has it.  A core above
+    arith.DEFAULT_FACTOR_BOUND raises BoundExceeded, as `factor` does.
+    """
     if d % 4 != 0:
         return None
     core = -d // 4
     if core % 2 == 0:
         return None
-    fs = factor(core)
-    if len(fs) != 3 or len(set(fs)) != 3:
-        return None
-    ones = [x for x in fs if x % 4 == 1]
-    threes = [x for x in fs if x % 8 == 3]
-    if len(ones) != 1 or len(threes) != 2:
-        return None
-    p = ones[0]
-    if p % 8 == 1:
-        kind = TYPE_4P
-    elif p % 8 == 5:
-        kind = TYPE_4R
+    check_factorable(core)
+    # One past the float cube root, which can fall just below an exact cube.
+    for p1 in range(3, int(core ** (1 / 3)) + 2, 2):
+        if core % p1 == 0:
+            break
     else:
         return None
-    # The (-q/q') condition is direction-sensitive: test both orderings.
-    for q, qp in (tuple(threes), tuple(reversed(threes))):
-        witness = (
-            Check(f"{p} mod 8", 1 if kind == TYPE_4P else 5, p % 8),
-            Check(f"{q} mod 8", 3, q % 8),
-            Check(f"{qp} mod 8", 3, qp % 8),
-            Check(f"({p}/{q})", -1, kronecker(p, q)),
-            Check(f"({p}/{qp})", -1, kronecker(p, qp)),
-            Check(f"(-{q}/{qp})", -1, kronecker(-q, qp)),
-        )
-        if all(c.passed for c in witness):
-            return FieldClassification(d, kind, (p, q, qp), witness)
-    return None
+    rest = core // p1
+    if p1 % 8 == 7 or rest % p1 == 0:
+        return None
+    # p1 = p leaves rest = qq' = 1 (mod 8); p1 = q leaves rest = pq' = 3 (mod 4).
+    if rest % (8 if p1 % 4 == 1 else 4) != p1 % 4:
+        return None
+    for p2 in range(p1 + 2, isqrt(rest) + 1, 2):
+        if rest % p2 == 0:
+            break
+    else:
+        return None
+    p3 = rest // p2
+    if p2 % 8 == 7 or p3 % 8 == 7 or p3 % p2 == 0:
+        return None
+    ones = [x for x in (p1, p2, p3) if x % 4 == 1]
+    if len(ones) != 1:
+        return None
+    p = ones[0]
+    q, qp = [x for x in (p1, p2, p3) if x != p]
+    # The primality test is the dearest step, so the symbols come first.
+    if kronecker(p, q) != -1 or kronecker(p, qp) != -1 or not is_prime(p3):
+        return None
+    if kronecker(-q, qp) != -1:
+        q, qp = qp, q
+    kind = TYPE_4P if p % 8 == 1 else TYPE_4R
+    witness = (
+        Check(f"{p} mod 8", 1 if kind == TYPE_4P else 5, p % 8),
+        Check(f"{q} mod 8", 3, q % 8),
+        Check(f"{qp} mod 8", 3, qp % 8),
+        Check(f"({p}/{q})", -1, -1),
+        Check(f"({p}/{qp})", -1, -1),
+        Check(f"(-{q}/{qp})", -1, -1),
+    )
+    return FieldClassification(d, kind, (p, q, qp), witness)
 
 
 def classify(d: int) -> FieldClassification:
@@ -319,7 +346,7 @@ def _scan_chunk(args: tuple[int, int, int]) -> list[TowerReport]:
     p = 1 (mod 4) and q = q' = 3 (mod 8), so d/4 = -pqq' = 3 (mod 4) and
     d = 12 (mod 16).  A squarefree d/4 = 3 (mod 4) also makes d fundamental,
     so the walk visits only that residue class and hands each d to the
-    family matcher, which factors it once.
+    family matcher, which factors -d/4 only until it can reject it.
     """
     lo, hi, bound = args
     out = []
@@ -338,9 +365,10 @@ def scan(
 ) -> list[TowerReport]:
     """All Type4p/Type4r fields with lo <= d <= hi, in descending d order.
 
-    Only d = 12 (mod 16) are examined; `_scan_chunk` gives the reason.  The
-    result is deterministic and independent of the worker count, which is
-    capped at the number of CPUs.
+    Only d = 12 (mod 16) are examined; `_scan_chunk` gives the reason, and
+    `_try_4pqr` how far each -d/4 is factored.  A -d/4 above the factoring
+    bound raises BoundExceeded.  The result is deterministic and independent
+    of the worker count, which is capped at the number of CPUs.
     """
     if not (lo < hi <= -1):
         raise InvalidArgument(f"need lo < hi <= -1, got [{lo}, {hi}]")

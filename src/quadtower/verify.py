@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .arith import is_fundamental, prime_discriminants
-from .errors import InvalidArgument
+from .errors import InvalidArgument, QuadTowerError
 from .genus import chi_eval
 from .pgroup import (
     PGroup,
@@ -452,18 +452,28 @@ def run_all(
     bound: int = 2 * 10**6,
 ) -> list[CriterionResult]:
     """Run the full verification matrix in order.  A grid below 2 holds no
-    (n, m) point, so it is refused rather than passed with no checks."""
+    (n, m) point, so it is refused rather than passed with no checks.  A
+    criterion that raises a QuadTowerError is reported as one failed check,
+    named "raised", and the criteria after it still run."""
     if grid is not None and grid < 2:
         raise InvalidArgument(f"verify needs grid >= 2, got {grid}")
-    return [
-        criterion_realization(grid),
-        criterion_lower_central(grid),
-        criterion_tables(),
-        criterion_capitulation(grid),
-        criterion_intermediate_fields(grid),
-        criterion_separation(),
-        criterion_real_family(),
-        criterion_field_tables(bound),
-        criterion_crosschecks(),
-        criterion_oracles(grid, seed),
+    criteria = [
+        ("group-realization", criterion_realization, (grid,)),
+        ("lower-central-series", criterion_lower_central, (grid,)),
+        ("subgroup-tables", criterion_tables, ()),
+        ("capitulation-kernel", criterion_capitulation, (grid,)),
+        ("intermediate-fields", criterion_intermediate_fields, (grid,)),
+        ("separation", criterion_separation, ()),
+        ("real-family-kernel", criterion_real_family, ()),
+        ("field-tables", criterion_field_tables, (bound,)),
+        ("number-theory-crosschecks", criterion_crosschecks, ()),
+        ("oracle-suite", criterion_oracles, (grid, seed)),
     ]
+    results = []
+    for number, (anchor, criterion, args) in enumerate(criteria, start=1):
+        try:
+            results.append(criterion(*args))
+        except QuadTowerError as exc:
+            raised = Check("raised", None, f"{type(exc).__name__}: {exc}")
+            results.append(CriterionResult(number, anchor, [raised]))
+    return results

@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import quadtower
-from quadtower import pgroup
+from quadtower import pgroup, verify
 from quadtower.cli import CSV_COLUMNS, main
+from quadtower.errors import StructureMismatch
 from quadtower.pgroup import PGroup
+from quadtower.tower import Check
 
 
 def run(capsys, *argv):
@@ -141,6 +143,13 @@ def test_input_error_exit1(capsys):
     assert "error:" in err
 
 
+def test_scan_above_factor_bound_exit1(capsys):
+    code, out, err = run(capsys, "scan", "--", "-4398046511168", "-4398046511108")
+    assert code == 1
+    assert out == ""
+    assert err == "error: 1099511627777 exceeds factoring bound 1099511627776\n"
+
+
 def test_group_order_limit_exit1(capsys, monkeypatch):
     def build(self):
         raise AssertionError("group elements built despite the order limit")
@@ -159,6 +168,80 @@ def test_verify_grid_below_2_exit1(capsys):
         assert code == 1
         assert out == ""
         assert "error:" in err
+
+
+# The criteria in run_all's order, with the anchor each reports.
+CRITERIA = [
+    ("criterion_realization", "group-realization"),
+    ("criterion_lower_central", "lower-central-series"),
+    ("criterion_tables", "subgroup-tables"),
+    ("criterion_capitulation", "capitulation-kernel"),
+    ("criterion_intermediate_fields", "intermediate-fields"),
+    ("criterion_separation", "separation"),
+    ("criterion_real_family", "real-family-kernel"),
+    ("criterion_field_tables", "field-tables"),
+    ("criterion_crosschecks", "number-theory-crosschecks"),
+    ("criterion_oracles", "oracle-suite"),
+]
+
+
+def _stub_criteria(monkeypatch, raising):
+    """Replace every criterion with a one-check pass; those named in
+    `raising` raise StructureMismatch instead."""
+    for number, (name, anchor) in enumerate(CRITERIA, start=1):
+        def stub(*args, number=number, anchor=anchor, name=name):
+            if name in raising:
+                raise StructureMismatch(f"{name} stub")
+            return verify.CriterionResult(number, anchor, [Check("stub", 1, 1)])
+
+        monkeypatch.setattr(verify, name, stub)
+
+
+def test_verify_reports_a_raising_criterion_as_a_failure(capsys, monkeypatch):
+    _stub_criteria(monkeypatch, {"criterion_field_tables"})
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert err == ""
+    expected = [
+        f"{number:2d} {anchor}: {'FAIL' if number == 8 else 'PASS'} (1 checks)"
+        for number, (_, anchor) in enumerate(CRITERIA, start=1)
+    ]
+    expected.insert(8, "     FAIL raised: expected None, computed "
+                       "StructureMismatch: criterion_field_tables stub")
+    assert out.splitlines() == expected
+
+    code, out, _ = run(capsys, "--format", "json", "verify")
+    assert code == 2
+    payload = json.loads(out)["results"]
+    assert [(r["number"], r["anchor"], r["passed"]) for r in payload] == [
+        (number, anchor, number != 8)
+        for number, (_, anchor) in enumerate(CRITERIA, start=1)
+    ]
+    assert payload[7]["failures"] == [{
+        "name": "raised",
+        "expected": None,
+        "computed": "StructureMismatch: criterion_field_tables stub",
+        "passed": False,
+    }]
+
+
+def test_run_all_keeps_the_number_and_anchor_of_a_raising_criterion(monkeypatch):
+    # run_all holds its own copy of each anchor for a criterion that raises;
+    # it must agree with what each criterion reports (criterion 10 at tiny
+    # limits, the rest at their defaults: well under a second).
+    real = [getattr(verify, name) for name, _ in CRITERIA[:9]]
+    reported = [(r.number, r.anchor) for r in (f() for f in real)]
+    oracles = verify.criterion_oracles(2, 0, disc_limit=50, character_limit=50)
+    reported.append((oracles.number, oracles.anchor))
+    assert reported == [
+        (number, anchor) for number, (_, anchor) in enumerate(CRITERIA, start=1)
+    ]
+    _stub_criteria(monkeypatch, {name for name, _ in CRITERIA})
+    results = verify.run_all(grid=2)
+    assert [(r.number, r.anchor) for r in results] == reported
+    assert all(
+        [(c.name, c.passed) for c in r.checks] == [("raised", False)] for r in results
+    )
 
 
 def test_usage_error_exit1(capsys):

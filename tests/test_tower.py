@@ -2,15 +2,22 @@
 
 import concurrent.futures
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
+import sympy
 
 from quadtower import genus, pgroup, quadforms, tower
 from quadtower.arith import is_fundamental
-from quadtower.errors import NotFundamental, NotImaginary, UnsupportedKind
+from quadtower.errors import (
+    BoundExceeded,
+    NotFundamental,
+    NotImaginary,
+    UnsupportedKind,
+)
 from quadtower.quadforms import AbelianType
 from quadtower.tower import (
     classify,
@@ -280,3 +287,88 @@ def test_import_does_not_load_the_process_pool():
         capture_output=True, env=dict(os.environ, PYTHONPATH=src), check=True,
     )
     assert proc.stdout.decode().strip() == "False"
+
+
+def _reference_4pqr(d):
+    """The family matcher from its definition, on sympy's full factorization:
+    (kind, primes, witness as (name, expected, computed) triples) or None."""
+    if d % 4 or (-d // 4) % 2 == 0:
+        return None
+    exponents = sympy.factorint(-d // 4)
+    primes = sorted(exponents)
+    if len(primes) != 3 or set(exponents.values()) != {1}:
+        return None
+    ones = [x for x in primes if x % 4 == 1]
+    threes = [x for x in primes if x % 8 == 3]
+    if len(ones) != 1 or len(threes) != 2:
+        return None
+    p = ones[0]
+    kind = "Type4p" if p % 8 == 1 else "Type4r"
+    for q, qp in (threes, threes[::-1]):
+        witness = (
+            (f"{p} mod 8", 1 if kind == "Type4p" else 5, p % 8),
+            (f"{q} mod 8", 3, q % 8),
+            (f"{qp} mod 8", 3, qp % 8),
+            (f"({p}/{q})", -1, sympy.jacobi_symbol(p, q)),
+            (f"({p}/{qp})", -1, sympy.jacobi_symbol(p, qp)),
+            (f"(-{q}/{qp})", -1, sympy.jacobi_symbol(-q, qp)),
+        )
+        if all(expected == computed for _, expected, computed in witness):
+            return kind, (p, q, qp), witness
+    return None
+
+
+def _matcher_view(d):
+    cls = tower._try_4pqr(d)
+    if cls is None:
+        return None
+    assert cls.d == d
+    return cls.kind, cls.primes, tuple((c.name, c.expected, c.computed) for c in cls.witness)
+
+
+# Named cores -d/4: 1; primes; two primes above the cube root; p^2 q and
+# p q^2; 3 as q (-2244) and as q' (-2580); and a prime r = 7 (mod 8) as the
+# smallest, middle and largest factor of p q r with (p/q) = (p/r) = -1, so
+# only r's residue keeps each from matching.
+NAMED_CORES = [
+    1, 13, 1000003, 101 * 103, 3 * 1000003,
+    17**2 * 3, 17 * 3**2, 5**2 * 43, 5 * 43**2, 17 * 11**2,
+    3 * 11 * 17, 5 * 43 * 3,
+    7 * 11 * 13, 5 * 7 * 43, 3 * 5 * 7,
+]
+
+
+def test_try_4pqr_matches_reference_on_named_cores():
+    matched = {-4 * core: _matcher_view(-4 * core) for core in NAMED_CORES}
+    for d, view in matched.items():
+        assert view == _reference_4pqr(d), d
+    assert matched[-2244][:2] == ("Type4p", (17, 3, 11))
+    assert matched[-2580][:2] == ("Type4r", (5, 43, 3))
+    assert sum(view is not None for view in matched.values()) == 2
+
+
+def test_try_4pqr_matches_reference_to_300000():
+    hits = 0
+    for d in range(-4, -300001, -16):
+        view = _matcher_view(d)
+        assert view == _reference_4pqr(d), d
+        hits += view is not None
+    assert hits > 0
+
+
+def test_try_4pqr_matches_reference_near_1e7():
+    rng = random.Random(17)
+    ds = [-4 - 16 * rng.randrange(562_500, 625_000) for _ in range(2000)]
+    assert all(-10**7 <= d <= -9 * 10**6 for d in ds)
+    hits = 0
+    for d in ds:
+        view = _matcher_view(d)
+        assert view == _reference_4pqr(d), d
+        hits += view is not None
+    assert hits > 0
+
+
+def test_scan_above_factor_bound_raises():
+    # The matcher refuses a core above arith.DEFAULT_FACTOR_BOUND, as factor does.
+    with pytest.raises(BoundExceeded):
+        scan(-4 * 2**40 - 64, -4 * 2**40 - 4)
