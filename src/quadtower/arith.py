@@ -8,23 +8,33 @@ from .errors import BoundExceeded, InvalidArgument, NotFundamental
 
 DEFAULT_FACTOR_BOUND = 1 << 40
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the first k primes as witnesses is deterministic below
+# the least strong pseudoprime to all of them (Jaeschke, Math. Comp. 61,
+# 1993): 3,215,031,751 for k = 4, 2,152,302,898,747 for k = 5, which lies
+# above DEFAULT_FACTOR_BOUND, and about 3.3 * 10^24 for all 13 (Sorenson
+# and Webster, Math. Comp. 86, 2017).
+_MR_RANGES = ((3_215_031_751, 4), (2_152_302_898_747, 5))
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n within the toolkit's working range."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    witnesses = _SMALL_PRIMES
+    for limit, k in _MR_RANGES:
+        if n < limit:
+            witnesses = _SMALL_PRIMES[:k]
+            break
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

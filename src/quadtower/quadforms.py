@@ -12,9 +12,12 @@ primes up to that bound are sieved onto the b whose product they divide,
 from the square roots of d modulo each prime (Tonelli-Shanks), and the
 divisors are built from those primes and 2.
 
-The 2-Sylow invariants of a negative class group come from the sizes of the
-spans of the 2^j-th powers of a few generators of the 2-Sylow, read by
-abelian_type_from_powers, the kernel that pgroup's abelian quotients share.
+The 2-Sylow A of a negative class group is never built.  Its 2-torsion A[2]
+is read off the reduced forms, since a class is its own inverse exactly when
+its reduced form is ambiguous; only 2A is spanned, by the 2*odd-th powers of
+a few classes, and its invariants come from the sizes of the spans of the
+2^j-th powers of their generators, read by abelian_type_from_powers, the
+kernel that pgroup's abelian quotients share.
 """
 
 from __future__ import annotations
@@ -429,8 +432,9 @@ def _span(gens, ident: QuadForm, order: int = 0) -> tuple[int, list[QuadForm]]:
     the generators that enlarged it.
 
     Each generator x outside the span H so far extends it by the cosets
-    x H, x^2 H, ... up to the first power of x that lies in H.  With
-    `order`, no generator is drawn once the span has that many elements.
+    x H, x^2 H, ... up to the first power of x that lies in H; that power
+    is tested before its coset is built.  With `order`, no generator is
+    drawn once the span has that many elements.
     """
     elems = [ident]
     span = {ident}
@@ -439,12 +443,12 @@ def _span(gens, ident: QuadForm, order: int = 0) -> tuple[int, list[QuadForm]]:
         if x in span:
             continue
         used.append(x)
-        coset = elems
-        while True:
-            coset = [compose(x, y) for y in coset]
-            if coset[0] in span:
-                break
-            elems.extend(coset)
+        rest = elems[1:]
+        xk = x
+        while xk not in span:
+            elems.append(xk)
+            elems.extend([compose(xk, y) for y in rest])
+            xk = compose(xk, x)
         span = set(elems)
         if len(elems) == order:
             break
@@ -452,31 +456,49 @@ def _span(gens, ident: QuadForm, order: int = 0) -> tuple[int, list[QuadForm]]:
 
 
 def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
-    """Invariant factors of the 2-Sylow subgroup G of the class group.
+    """Invariant factors of the 2-Sylow subgroup A of the class group.
 
-    The odd-part powers of the classes with b >= 0 (their inverses span the
-    same cyclic groups) are walked in order until their span is G, of order
-    h2; the generators it kept go to abelian_type_from_powers.  Raises
-    StructureMismatch when the walk does not span exactly h2 elements, as
-    when `classes` is not the whole class group.
+    A class is its own inverse exactly when its reduced form is ambiguous
+    (b = 0, b = a or a = c), so the ambiguous forms among `classes` count
+    A[2], of order 2^r, with no composition.  Only 2A, of order h2 / 2^r,
+    is spanned: the 2*odd-th powers of the other classes with b > 0 (an
+    inverse (a, -b, c) spans the same cyclic group, and an ambiguous class
+    squares to 1) are walked until their span has that order, and
+    abelian_type_from_powers reads 2A's type off the generators it kept.
+    A has 2A's parts doubled and r - rank(2A) parts 2.  Raises
+    StructureMismatch when `classes` cannot be the whole class group: 2^r
+    does not divide h2, the walk spans other than h2 / 2^r elements, or 2A
+    has rank above r (as it has when r = 0 < log2 h2).
     """
     h = len(classes)
-    odd = h
-    while odd % 2 == 0:
-        odd //= 2
-    h2 = h // odd
-    if h2 == 1:
-        return AbelianType(())
+    h2 = h & -h
+    torsion = sum(1 for a, b, c in classes if b == 0 or b == a or a == c)
+    if not torsion or h2 % torsion:
+        raise StructureMismatch(
+            f"the classes of discriminant {d} have {torsion} ambiguous forms,"
+            f" which is no 2-torsion of a 2-Sylow of order {h2}"
+        )
+    r = torsion.bit_length() - 1
+    order = h2 // torsion
+    if order == 1:
+        return AbelianType((2,) * r)
+    odd = h // h2
     ident = _reduce_definite(d, *principal_form(d))
-    size, gens = _span((form_pow(f, odd) for f in classes if f.b >= 0), ident, h2)
-    if size != h2:
+    powers = (form_pow(f, 2 * odd) for f in classes if 0 < f.b < f.a < f.c)
+    size, gens = _span(powers, ident, order)
+    if size != order:
         raise StructureMismatch(
             f"the classes of discriminant {d} span {size} elements"
-            f" in place of a 2-Sylow of order {h2}"
+            f" in place of a 2A of order {order}"
         )
-    return abelian_type_from_powers(
-        h2, gens, lambda x: compose(x, x), lambda xs: _span(xs, ident)
+    squares = abelian_type_from_powers(
+        order, gens, lambda x: compose(x, x), lambda xs: _span(xs, ident)
     )
+    if len(squares.parts) > r:
+        raise StructureMismatch(
+            f"2A of discriminant {d} has type {squares}, of rank above {r}"
+        )
+    return AbelianType(tuple(2 * p for p in squares) + (2,) * (r - len(squares.parts)))
 
 
 def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:

@@ -8,8 +8,15 @@ import os
 from dataclasses import dataclass, replace
 from math import isqrt
 
-from .arith import check_factorable, is_fundamental, is_prime, kronecker
+from .arith import (
+    DEFAULT_FACTOR_BOUND,
+    check_factorable,
+    is_fundamental,
+    is_prime,
+    kronecker,
+)
 from .errors import (
+    BoundExceeded,
     InvalidArgument,
     NotFundamental,
     NotImaginary,
@@ -366,12 +373,17 @@ def scan(
     """All Type4p/Type4r fields with lo <= d <= hi, in descending d order.
 
     Only d = 12 (mod 16) are examined; `_scan_chunk` gives the reason, and
-    `_try_4pqr` how far each -d/4 is factored.  A -d/4 above the factoring
-    bound raises BoundExceeded.  The result is deterministic and independent
-    of the worker count, which is capped at the number of CPUs.
+    `_try_4pqr` how far each -d/4 is factored.  A window whose |lo| / 4 is
+    above arith.DEFAULT_FACTOR_BOUND raises BoundExceeded before any d is
+    examined.  The result is deterministic and independent of the worker
+    count, which is capped at the number of CPUs.
     """
     if not (lo < hi <= -1):
         raise InvalidArgument(f"need lo < hi <= -1, got [{lo}, {hi}]")
+    if -lo // 4 > DEFAULT_FACTOR_BOUND:
+        raise BoundExceeded(
+            f"|{lo}| / 4 exceeds factoring bound {DEFAULT_FACTOR_BOUND}"
+        )
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _scan_chunk((lo, hi, bound))

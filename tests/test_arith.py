@@ -1,5 +1,7 @@
 """Integer arithmetic primitives, cross-checked against sympy oracles."""
 
+import random
+
 import pytest
 import sympy
 
@@ -18,6 +20,21 @@ from quadtower.errors import BoundExceeded, NotFundamental
 
 def test_is_prime_against_sympy():
     for n in list(range(-3, 500)) + [10**9 + 7, 10**9 + 9, 2**31 - 1, 561, 41041]:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes_past_each_witness_range():
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to 2, 3, 5 and 7;
+    # 2152302898747 = 6763 * 10627 * 29947 to 2, 3, 5, 7 and 11.
+    assert not is_prime(3215031751)
+    assert not is_prime(2152302898747)
+
+
+def test_is_prime_against_sympy_below_2_41():
+    rng = random.Random(41)
+    for n in [rng.randrange(1 << 41) for _ in range(3000)] + [
+        rng.randrange(1 << 41) | 1 for _ in range(3000)
+    ]:
         assert is_prime(n) == sympy.isprime(n), n
 
 

@@ -147,7 +147,7 @@ def test_scan_above_factor_bound_exit1(capsys):
     code, out, err = run(capsys, "scan", "--", "-4398046511168", "-4398046511108")
     assert code == 1
     assert out == ""
-    assert err == "error: 1099511627777 exceeds factoring bound 1099511627776\n"
+    assert err == "error: |-4398046511168| / 4 exceeds factoring bound 1099511627776\n"
 
 
 def test_group_order_limit_exit1(capsys, monkeypatch):

@@ -339,6 +339,91 @@ def test_sylow2_type_rejects_classes_short_of_the_sylow(d, k):
         _sylow2_type(classes, d)
 
 
+def _is_ambiguous(f):
+    return f.b == 0 or f.b == f.a or f.a == f.c
+
+
+def test_ambiguous_classes_match_genus_theory():
+    # The classes of order <= 2 number 2^(t-1) for t prime discriminants
+    # (Gauss's genus theory), and they are the ambiguous reduced forms.
+    for d in _fundamentals(-20000, -3):
+        ambiguous = sum(1 for f in _reduced_definite_forms(d) if _is_ambiguous(f))
+        assert ambiguous == 1 << (len(prime_discriminants(d)) - 1), d
+
+
+def _spanning_span(gens, ident):
+    """The spans that built all of the 2-Sylow: each generator outside the
+    span H extends it by x H, x^2 H, ... until a coset's first element
+    lies in H."""
+    elems = [ident]
+    span = {ident}
+    used = []
+    for x in gens:
+        if x in span:
+            continue
+        used.append(x)
+        coset = elems
+        while True:
+            coset = [compose(x, y) for y in coset]
+            if coset[0] in span:
+                break
+            elems.extend(coset)
+        span = set(elems)
+    return len(elems), used
+
+
+def _spanning_sylow2_type(classes, d):
+    """The 2-Sylow's type from a span of all of it: the odd-th powers of the
+    classes with b >= 0 span A, and abelian_type_from_powers reads A's type
+    off the generators the walk kept."""
+    h = len(classes)
+    h2 = h & -h
+    if h2 == 1:
+        return AbelianType(())
+    ident = reduce_form(principal_form(d))
+    size, gens = _spanning_span(
+        (form_pow(f, h // h2) for f in classes if f.b >= 0), ident
+    )
+    assert size == h2, d
+    return abelian_type_from_powers(
+        h2, gens, lambda x: compose(x, x), lambda xs: _spanning_span(xs, ident)
+    )
+
+
+def test_sylow2_type_matches_spanning_walk_on_scan_fields():
+    from quadtower.tower import scan
+
+    reports = scan(-10**6, -1)
+    assert len(reports) == 1176
+    discs = sorted({r.d for r in reports} | {-4 * r.classification.primes[0] for r in reports})
+    for d in discs:
+        classes = _reduced_definite_forms(d)
+        assert _sylow2_type(classes, d) == _spanning_sylow2_type(classes, d), d
+
+
+@pytest.mark.parametrize("d", [-2580, -6360, -42420, -89284])
+def test_sylow2_type_rejects_a_dropped_or_duplicated_form(d):
+    # With t >= 3 prime discriminants, h2 / 2^(t-1) is even; one form more
+    # or one ambiguous form fewer leaves h odd with 2^(t-1) + 1 or
+    # 2^(t-1) - 1 ambiguous forms.
+    classes = list(class_group(d).classes)
+    for i, f in enumerate(classes):
+        with pytest.raises(StructureMismatch):
+            _sylow2_type(classes + [f], d)
+        if _is_ambiguous(f):
+            with pytest.raises(StructureMismatch):
+                _sylow2_type(classes[:i] + classes[i + 1:], d)
+
+
+def test_sylow2_type_rejects_a_2A_of_rank_above_the_2_torsion():
+    # Cl(-95) is cyclic of order 8.  Its first 4 classes hold one ambiguous
+    # form, so they claim a trivial 2-torsion, yet the square of (2, 1, 12)
+    # spans a 2A of order 4.
+    classes = list(class_group(-95).classes[:4])
+    with pytest.raises(StructureMismatch):
+        _sylow2_type(classes, -95)
+
+
 def test_reduced_definite_forms_match_double_loop():
     for d in _fundamentals(-5000, -3):
         naive = []
