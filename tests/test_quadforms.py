@@ -38,6 +38,7 @@ from quadtower.quadforms import (
     two_part,
     wide_h2,
 )
+from quadtower.tower import scan
 
 
 def test_abelian_type_validation():
@@ -391,8 +392,6 @@ def _spanning_sylow2_type(classes, d):
 
 
 def test_sylow2_type_matches_spanning_walk_on_scan_fields():
-    from quadtower.tower import scan
-
     reports = scan(-10**6, -1)
     assert len(reports) == 1176
     discs = sorted({r.d for r in reports} | {-4 * r.classification.primes[0] for r in reports})
