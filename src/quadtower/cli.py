@@ -16,9 +16,8 @@ import sys
 
 from . import pgroup
 from .errors import QuadTowerError
-from .pgroup import GroupParams
 from .quadforms import DEFAULT_ENUM_BOUND, AbelianType
-from .tower import Check, TowerReport, classify, crosscheck, predict, scan
+from .tower import Check, TowerReport, classify, crosscheck, invariants, predict, scan
 from .verify import run_all
 
 SCHEMA_VERSION = 1
@@ -35,16 +34,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(value):
-    """Convert report values to JSON-serializable structures."""
-    if isinstance(value, AbelianType):
-        return list(value.parts)
-    if isinstance(value, GroupParams):
-        return {
-            "n": value.n,
-            "m": value.m,
-            "eps": value.eps,
-            "family": value.family,
-        }
+    """Convert report values to JSON-serializable structures: a dataclass
+    encodes as the dict of its fields.  A Check keeps its own branch, for
+    its `passed` is a property and checks fill most documents."""
+    if isinstance(value, (int, str)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if isinstance(value, Check):
         return {
             "name": value.name,
@@ -52,14 +48,14 @@ def _jsonable(value):
             "computed": _jsonable(value.computed),
             "passed": value.passed,
         }
+    if isinstance(value, AbelianType):
+        return list(value.parts)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         return sorted(_jsonable(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (int, str, bool)) or value is None:
-        return value
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return str(value)
 
 
@@ -74,25 +70,11 @@ def _emit_json(command: str, config: dict, results, checks) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _classification_result(cls) -> dict:
-    return {
-        "d": cls.d,
-        "kind": cls.kind,
-        "primes": list(cls.primes),
-        "witness": [_jsonable(c) for c in cls.witness],
-    }
-
-
 def _report_result(r: TowerReport) -> dict:
-    return {
-        "classification": _classification_result(r.classification),
-        "n": r.n,
-        "m": r.m,
-        "mu": r.mu,
-        "predicted_group": _jsonable(r.predicted_group),
-        "h2_k": r.h2_k,
-        "h2_minus4p": r.h2_minus4p,
-    }
+    """The report without its checks, which the document carries apart."""
+    out = _jsonable(dataclasses.replace(r, checks=()))
+    del out["checks"]
+    return out
 
 
 def _print_checks_text(checks) -> None:
@@ -108,7 +90,7 @@ def _checks_exit(checks) -> int:
 def cmd_classify(args, config) -> int:
     cls = classify(args.d)
     if args.format == "json":
-        _emit_json("classify", config, [_classification_result(cls)], [])
+        _emit_json("classify", config, [cls], [])
     else:
         primes = " ".join(str(p) for p in cls.primes)
         print(f"{cls.d}: {cls.kind}" + (f" ({primes})" if primes else ""))
@@ -116,8 +98,6 @@ def cmd_classify(args, config) -> int:
 
 
 def cmd_invariants(args, config) -> int:
-    from .tower import invariants
-
     n, m, mu = invariants(args.d, args.bound)
     if args.format == "json":
         _emit_json("invariants", config, [{"d": args.d, "n": n, "m": m, "mu": mu}], [])
@@ -151,42 +131,40 @@ def cmd_crosscheck(args, config) -> int:
     return _checks_exit(report.checks)
 
 
-def _group_report(g, kind: str):
+def _group_report(top, kind: str):
+    """The named report on the whole group `top`, whose G' it shares."""
+    g = top.group
     if kind == "fingerprint":
-        fp = pgroup.fingerprint(g)
-        return {f.name: getattr(fp, f.name) for f in dataclasses.fields(fp)}
+        return pgroup.fingerprint(g)
     if kind == "subgroups":
-        out = []
-        for sub, normal in pgroup.subgroups_of_index4(g):
-            out.append({"abelianization": pgroup.abelianization(sub), "normal": normal})
-        return out
+        return [
+            {"abelianization": pgroup.abelianization(sub), "normal": normal}
+            for sub, normal in pgroup.subgroups_of_index4(g)
+        ]
     if kind == "transfers":
         subs, phi = pgroup.standard_maximal_subgroups(g)
-        kernels = pgroup.transfer_kernel(pgroup.whole_group(g), subs)
+        kernels = pgroup.transfer_kernel(top, subs)
         out = {f"ker_t{j}_order": order for j, (order, _) in enumerate(kernels, start=1)}
         h2, inter = pgroup.capitulation_subgroups(subs, phi)
         ((order, _),) = pgroup.transfer_kernel(h2, [inter])
         out["ker_H2_to_H1capH2_order"] = order
         return out
-    if kind == "lcs":
-        return [term.order for term in pgroup.lower_central_series(g)]
-    return None
+    return [term.order for term in pgroup.lower_central_series(g)]
 
 
 def cmd_group(args, config) -> int:
     g = pgroup.gamma(args.n, args.m, args.eps)
+    top = pgroup.whole_group(g)
     result = {"params": g.params, "order": g.order}
     if args.report:
-        result[args.report] = _group_report(g, args.report)
+        result[args.report] = _group_report(top, args.report)
     if args.report == "fingerprint":
         # The fingerprint has read both invariants over its one G'.
-        for key in ("abelianization", "derived_type"):
-            result[key] = result["fingerprint"][key]
+        fp = result["fingerprint"]
+        result["abelianization"], result["derived_type"] = fp.abelianization, fp.derived_type
     else:
-        top = pgroup.whole_group(g)
-        der = pgroup.derived_subgroup(top)
-        result["abelianization"] = pgroup.abelian_type_of(top, der)
-        result["derived_type"] = pgroup.abelian_type_of(der)
+        result["abelianization"] = pgroup.abelianization(top)
+        result["derived_type"] = pgroup.abelian_type_of(top.derived)
     if args.format == "json":
         _emit_json("group", config, [result], [])
     else:
@@ -202,7 +180,6 @@ def cmd_group(args, config) -> int:
 
 def cmd_verify(args, config) -> int:
     results = run_all(grid=args.grid, seed=args.seed, bound=args.bound)
-    checks = [c for r in results for c in r.checks]
     if args.format == "json":
         payload = [
             {
@@ -229,38 +206,29 @@ def cmd_verify(args, config) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+def _write_csv(fh, rows) -> None:
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+
+
 def cmd_scan(args, config) -> int:
     reports = scan(args.lo, args.hi, bound=args.bound, workers=args.workers)
     if args.type:
         want = "Type4p" if args.type == "4p" else "Type4r"
         reports = [r for r in reports if r.classification.kind == want]
-    rows = []
-    for r in reports:
-        p, q, qp = r.classification.primes
-        rows.append(
-            {
-                "d": r.d,
-                "kind": r.classification.kind,
-                "p": p,
-                "q": q,
-                "qprime": qp,
-                "n": r.n,
-                "m": r.m,
-                "h2_k": r.h2_k,
-                "h2_minus4p": r.h2_minus4p,
-            }
-        )
+    rows = [
+        dict(zip(CSV_COLUMNS, (r.d, r.classification.kind, *r.classification.primes,
+                               r.n, r.m, r.h2_k, r.h2_minus4p)))
+        for r in reports
+    ]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+            _write_csv(fh, rows)
     if args.format == "json":
         _emit_json("scan", config, rows, [])
     elif args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        _write_csv(sys.stdout, rows)
     else:
         for row in rows:
             print(

@@ -7,9 +7,10 @@ at most log2 of its order elements, and every span grows by one step: a new
 generator extends a subgroup by the right cosets it adds (Dimino).  Derived
 and Frattini subgroups and lower central terms are normal closures of a few
 commutators and squares of those generators; a derived subgroup is certified
-normal with abelian quotient once, where it is built.  Maximal subgroups need
-no span beyond Phi(h): one pass labels the cosets of Phi(h) by subsets of a
-Burnside basis, and each hyperplane preimage is a union of labelled cosets.
+normal with abelian quotient once, where it is built, and each Subgroup keeps
+its own as `derived`.  Maximal subgroups need no span beyond Phi(h): one pass
+labels the cosets of Phi(h) by subsets of a Burnside basis, and each
+hyperplane preimage is a union of labelled cosets.
 The paper's named subgroups of Gamma are read off that one pass, not spanned
 from generator recipes: H_1..H_7 are the preimages of seven fixed characters
 of G/Phi(G) on (a1, a2, a3), the genus field's subgroup is Phi(G) itself,
@@ -27,6 +28,7 @@ group, after checking that the element is in normal form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -240,6 +242,11 @@ class Subgroup:
     def __contains__(self, x) -> bool:
         return x in self.elements
 
+    @functools.cached_property
+    def derived(self) -> Subgroup:
+        """The commutator subgroup, derived once per Subgroup and kept."""
+        return derived_subgroup(self)
+
 
 def _extend(sub: Subgroup, x) -> Subgroup:
     """<sub, x> as the union of the right cosets S r of S = sub whose
@@ -403,8 +410,8 @@ def cosets(group, elements, nset: frozenset) -> dict:
 
 def abelianization(h: Subgroup) -> AbelianType:
     """Invariant factors of h/h', read over the h' that derived_subgroup has
-    just certified normal with abelian quotient."""
-    return _abelian_type(h, derived_subgroup(h))
+    certified normal with abelian quotient."""
+    return _abelian_type(h, h.derived)
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +524,14 @@ def _index4(group, maximals) -> list[tuple[Subgroup, bool]]:
 # Transfer maps
 # ---------------------------------------------------------------------------
 
-def transfer_values(K: Subgroup, H: Subgroup, xs, z=None) -> list:
+def transfer_values(K: Subgroup, H: Subgroup, xs) -> list:
     """Representatives of t_{K,H}(x K') modulo H' for each x in xs, with
-    (K:H) = 2 and z in K outside H: x^2 [x, z] for x in H, x^2 otherwise."""
+    (K:H) = 2 and z the least element of K outside H: x^2 [x, z] for x in H,
+    x^2 otherwise."""
     g = K.group
     if not H.elements <= K.elements or 2 * H.order != K.order:
         raise IndexNotTwo("H must have index 2 in K")
-    if z is None:
-        z = min(y for y in K.elements if y not in H.elements)
+    z = min(y for y in K.elements if y not in H.elements)
     out = []
     for x in xs:
         if x not in K.elements:
@@ -543,11 +550,11 @@ def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
     the number of cosets of K' in ker.
     """
     g = K.group
-    kprime = derived_subgroup(K)
+    kprime = K.derived
     reps = list(cosets(g, K.elements, kprime.elements))
     out = []
     for H in targets:
-        hprime = derived_subgroup(H).elements
+        hprime = H.derived.elements
         inside = [x for x, val in zip(reps, transfer_values(K, H, reps)) if val in hprime]
         out.append((len(inside), subgroup(g, list(kprime.generators) + inside)))
     return out
@@ -598,7 +605,7 @@ def _element_orders(group) -> dict:
 
 def fingerprint(group) -> Fingerprint:
     top = whole_group(group)
-    der = derived_subgroup(top)
+    der = top.derived
     hist: dict[int, int] = {}
     for o in _element_orders(group).values():
         hist[o] = hist.get(o, 0) + 1

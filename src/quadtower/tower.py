@@ -389,17 +389,12 @@ def scan(
         return _scan_chunk((lo, hi, bound))
     span = hi - lo + 1
     step = max(1, (span + workers - 1) // workers)
-    chunks = []
-    top = hi
-    while top >= lo:
-        chunks.append((max(lo, top - step + 1), top, bound))
-        top -= step
+    # Disjoint descending chunks; map keeps their order, so the joined
+    # parts are already in descending d order.
+    chunks = [(max(lo, top - step + 1), top, bound) for top in range(hi, lo - 1, -step)]
     # Imported here: the pool costs about 2 MB of memory in every process
     # that imports quadtower, and only a multi-worker scan uses it.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_scan_chunk, chunks))
-    out = [r for part in parts for r in part]
-    out.sort(key=lambda r: r.d, reverse=True)
-    return out
+        return [r for part in pool.map(_scan_chunk, chunks) for r in part]

@@ -174,8 +174,8 @@ def criterion_tables(points=((2, 2), (3, 2))) -> CriterionResult:
             tag = f"({n},{m},{eps})"
             subs, _ = standard_maximal_subgroups(g)
             top = whole_group(g)
-            gprime = derived_subgroup(top)
-            hprimes = [derived_subgroup(sub).elements for sub in subs]
+            gprime = top.derived
+            hprimes = [sub.derived.elements for sub in subs]
             for j, (hprime, dgens) in enumerate(
                 zip(hprimes, _expected_derived_gens(g)), start=1
             ):

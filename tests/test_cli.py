@@ -109,6 +109,23 @@ def test_group_fingerprint_derives_the_whole_group_once(capsys, monkeypatch):
     assert orders.count(256) == 1
 
 
+def test_group_transfers_derives_the_whole_group_once(capsys, monkeypatch):
+    # The header invariants and the transfer kernels share one whole-group
+    # Subgroup and its one G'; H_2' is shared by both kernel passes.
+    orders = []
+    real = pgroup.derived_subgroup
+
+    def counting(h):
+        orders.append(h.order)
+        return real(h)
+
+    monkeypatch.setattr(pgroup, "derived_subgroup", counting)
+    code, _, _ = run(capsys, "--format", "json", "group", "2", "3", "1", "--report", "transfers")
+    assert code == 0
+    assert orders.count(256) == 1
+    assert len(orders) == 9
+
+
 def test_scan_text_and_csv(capsys, tmp_path):
     code, out, _ = run(capsys, "scan", "-6000", "-1", "--type", "4p")
     assert code == 0
@@ -323,3 +340,118 @@ def test_scan_csv_pinned(capsys):
     code, out, _ = run(capsys, "--format", "csv", "scan", "-60000", "-1")
     assert code == 0
     assert _sha256(out) == SCAN_60000_SHA256
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of `quadtower --format
+# FORMAT ARGS`, keyed "FORMAT ARGS", for every command in each format that
+# the pins above leave out, error paths included, and of the file that
+# `scan -20000 -1 --csv FILE` writes: recorded before the JSON encoder
+# read report shapes off their dataclasses.
+CLI_GOLDEN_SHA256 = {
+    "text classify -2244":
+        "26ea01bfda7ad337374db8155f67526589e91509e3de8faf2f1d082538d68ac9",
+    "json classify -2244":
+        "6e7ea6f63b68853d58ae69b95ed678b921b97fe49d03a42db6ecfea9b1a0ac51",
+    "csv classify -2244":
+        "26ea01bfda7ad337374db8155f67526589e91509e3de8faf2f1d082538d68ac9",
+    "text classify -2580":
+        "81e6bcd4c7b41431c81c1ff4a5de5b6c5e6bfaee1938d7fe04891bf35f7e0b7d",
+    "json classify -2580":
+        "3a382e1ef3c4503b0468a9061b8a17a39142d0504a57742822536443181fa3fd",
+    "csv classify -2580":
+        "81e6bcd4c7b41431c81c1ff4a5de5b6c5e6bfaee1938d7fe04891bf35f7e0b7d",
+    "text classify -840":
+        "3e6d610d69c04041593c59a5dc2c948fd08741933d415b8afc7ba5bbcf094a00",
+    "json classify -840":
+        "328edb7bb979406754bee99a82edf346a3805d5585e912ef75579023be2af6f6",
+    "csv classify -840":
+        "3e6d610d69c04041593c59a5dc2c948fd08741933d415b8afc7ba5bbcf094a00",
+    "text classify 5":
+        "bc0487d036fb31f96a718bd52afd352ae5f72dcaaa7ed6f4aa97103f37d855f5",
+    "json classify 5":
+        "bc0487d036fb31f96a718bd52afd352ae5f72dcaaa7ed6f4aa97103f37d855f5",
+    "csv classify 5":
+        "bc0487d036fb31f96a718bd52afd352ae5f72dcaaa7ed6f4aa97103f37d855f5",
+    "text invariants -2244":
+        "b38e31ab22baa22be02f8dd45de915b0352df4b0cb60ea0e9dff3871ed835367",
+    "json invariants -2244":
+        "76ecc462dd9e00d79fad565c331c315e026ecb0949f0b7fe8bed4bb842de3ef3",
+    "csv invariants -2244":
+        "b38e31ab22baa22be02f8dd45de915b0352df4b0cb60ea0e9dff3871ed835367",
+    "text predict -2244":
+        "bf5a931b5d136f19d1fdf2205474fabf7e174cf7fddff9887a3efa6187905824",
+    "json predict -2244":
+        "f0ebf7fa587659bfcc8a69f23cfc175f928cde39a33b501cb5a88f96e398b347",
+    "csv predict -2244":
+        "bf5a931b5d136f19d1fdf2205474fabf7e174cf7fddff9887a3efa6187905824",
+    "text predict -2580":
+        "15abbd33cde7f484c0f1ee390c81630cb3d0b6f9ff1a27b3b276e94f12464d74",
+    "json predict -2580":
+        "439e9d8277031d73be25b80f053ecd4e662ecb6b582a17d06a01b281475ff6c3",
+    "csv predict -2580":
+        "15abbd33cde7f484c0f1ee390c81630cb3d0b6f9ff1a27b3b276e94f12464d74",
+    "text crosscheck -2244":
+        "41a283558f48bf83e63c0ce2f32edf08e6d7cfe83ad501a562ef95300f18905d",
+    "csv crosscheck -2244":
+        "41a283558f48bf83e63c0ce2f32edf08e6d7cfe83ad501a562ef95300f18905d",
+    "text crosscheck -840":
+        "a4647e3d531ce06f1446b537f24b43f02910377e9e00f9d94488964ccc1b4e6a",
+    "json crosscheck -840":
+        "a4647e3d531ce06f1446b537f24b43f02910377e9e00f9d94488964ccc1b4e6a",
+    "csv crosscheck -840":
+        "a4647e3d531ce06f1446b537f24b43f02910377e9e00f9d94488964ccc1b4e6a",
+    "text group 2 2 1":
+        "a5956fd9a2df7a3f2645a5faa8ba7d2e3583b054ab1e217da1c60f5b8e413f37",
+    "json group 2 2 1":
+        "35b176215ae52db15983d90add9810b144b0ef160a23cd8b3987fc2addccb57f",
+    "csv group 2 2 1":
+        "a5956fd9a2df7a3f2645a5faa8ba7d2e3583b054ab1e217da1c60f5b8e413f37",
+    "text group 2 2 1 --report fingerprint":
+        "98b67b939694dcf1d708d2a8cc53b3ef195579ec0cda3b3cdcc35529aada4970",
+    "json group 2 2 1 --report fingerprint":
+        "25eb07a075454a740269c0e4cce705d80bdd6eaad89b5c044f7347ed7cda89c4",
+    "csv group 2 2 1 --report fingerprint":
+        "98b67b939694dcf1d708d2a8cc53b3ef195579ec0cda3b3cdcc35529aada4970",
+    "text group 2 2 1 --report subgroups":
+        "1727f2b835e93dd99b49affa3620251966f07e72b1c36b8d96e4b1a6e4031f2a",
+    "json group 2 2 1 --report subgroups":
+        "25c7553cb96eab0e3b70134a679a09dc2ce1d85b7bfddf2d28a2fa10a6e84ad2",
+    "csv group 2 2 1 --report subgroups":
+        "1727f2b835e93dd99b49affa3620251966f07e72b1c36b8d96e4b1a6e4031f2a",
+    "text group 2 2 1 --report transfers":
+        "59d9f56d578a2292e930f011fed57a61e0d31481e313660cb3a67186cb2f8f0e",
+    "json group 2 2 1 --report transfers":
+        "88b3cbb1ae7b7fa3c85995e046aab0de2dcca4c4ecaf74fbff3651bdee7742a3",
+    "csv group 2 2 1 --report transfers":
+        "59d9f56d578a2292e930f011fed57a61e0d31481e313660cb3a67186cb2f8f0e",
+    "text group 2 2 1 --report lcs":
+        "204f885b6e5bfbd8d0ff3ee5b5eacc70ee2bd0b32a57d581b277fbe3a5b169ee",
+    "json group 2 2 1 --report lcs":
+        "9e258ca4c88456b17656ab796f1bf16d14f46120b0e3181c917fd1b2ba3a52e8",
+    "csv group 2 2 1 --report lcs":
+        "204f885b6e5bfbd8d0ff3ee5b5eacc70ee2bd0b32a57d581b277fbe3a5b169ee",
+    "text scan -20000 -1":
+        "f52f9dca93fe3167d87fac51b1abeaa4db2a92becf3a59310e8290b76c7c5a92",
+    "json scan -20000 -1":
+        "84dea027f3dd14d07bcf7ba89c795d444df9b7624d1db65ba3481fc15a845c13",
+    "csv scan -20000 -1":
+        "169db26c7efd465e42cfeaaadea460dcf7f3ac8915a7a8ef3e1a2f382dd587a0",
+    "text scan -20000 -1 --type 4r":
+        "ce37e72902839c484c0c0c1c5c618c710cc13ba2255464e266bdb3ed6dc6b1dc",
+    "json scan -20000 -1 --type 4r":
+        "f46d19d0a9c26d853fc93b5c9ca18b0ae3e57e7866d03ac61df0140b77e686e4",
+    "csv scan -20000 -1 --type 4r":
+        "0a8b8abfb97faa2449abc2181082fe3f18e7472db6e6b717992f3002b7b76fc5",
+}
+SCAN_CSV_FILE_SHA256 = "6ef36c60068d6a91d7a361fb6855704bf4dccff02bb05d88676ce28c79da2aae"
+
+
+def test_cli_golden_matrix(capsys, tmp_path):
+    for key, digest in CLI_GOLDEN_SHA256.items():
+        fmt, *argv = key.split()
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert _sha256(json.dumps([code, out, err])) == digest, key
+    path = tmp_path / "out.csv"
+    code, _, _ = run(capsys, "scan", "-20000", "-1", "--csv", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCAN_CSV_FILE_SHA256

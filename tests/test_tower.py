@@ -158,7 +158,8 @@ def test_crosscheck_derives_and_builds_each_subgroup_once(monkeypatch):
     # One labelling pass over Gamma gives H_1..H_7 and Phi(G), whose only span
     # is the pass's own normal closure; H_1 cap H_2 is one coset step over it.
     # One transfer-kernel pass from Gamma over H_1..H_7 and one from H_2 to
-    # H_1 cap H_2 derive G', H_1'..H_7', H_2' and (H_1 cap H_2)'.
+    # H_1 cap H_2 derive G', H_1'..H_7' and (H_1 cap H_2)': each Subgroup
+    # keeps its derived subgroup, so H_2' is derived once for both passes.
     derived = Counter()
     spans = Counter()
     labelled = []
@@ -183,7 +184,7 @@ def test_crosscheck_derives_and_builds_each_subgroup_once(monkeypatch):
     monkeypatch.setattr(pgroup, "subgroup", counting_subgroup)
     monkeypatch.setattr(pgroup, "_frattini_labelling", counting_labelling)
     assert tower.crosscheck(-329988).all_passed
-    assert sum(derived.values()) <= 10
+    assert sum(derived.values()) <= 9
     g = pgroup.gamma(4, 4, 1)
     assert labelled == [g.order]
     h1 = real_subgroup(g, [g.a1, g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
