@@ -132,10 +132,9 @@ def cmd_crosscheck(args, config) -> int:
 
 
 def _group_report(top, kind: str):
-    """The named report on the whole group `top`, whose G' it shares."""
+    """The named report, other than the fingerprint, on the whole group
+    `top`, whose G' it shares."""
     g = top.group
-    if kind == "fingerprint":
-        return pgroup.fingerprint(g)
     if kind == "subgroups":
         return [
             {"abelianization": pgroup.abelianization(sub), "normal": normal}
@@ -149,20 +148,21 @@ def _group_report(top, kind: str):
         ((order, _),) = pgroup.transfer_kernel(h2, [inter])
         out["ker_H2_to_H1capH2_order"] = order
         return out
-    return [term.order for term in pgroup.lower_central_series(g)]
+    return [term.order for term in pgroup.lower_central_series(g, top)]
 
 
 def cmd_group(args, config) -> int:
     g = pgroup.gamma(args.n, args.m, args.eps)
-    top = pgroup.whole_group(g)
     result = {"params": g.params, "order": g.order}
-    if args.report:
-        result[args.report] = _group_report(top, args.report)
     if args.report == "fingerprint":
-        # The fingerprint has read both invariants over its one G'.
-        fp = result["fingerprint"]
+        # The fingerprint builds the whole group and its G' once, and has
+        # read both invariants over them.
+        fp = result["fingerprint"] = pgroup.fingerprint(g)
         result["abelianization"], result["derived_type"] = fp.abelianization, fp.derived_type
     else:
+        top = pgroup.whole_group(g)
+        if args.report:
+            result[args.report] = _group_report(top, args.report)
         result["abelianization"] = pgroup.abelianization(top)
         result["derived_type"] = pgroup.abelian_type_of(top.derived)
     if args.format == "json":

@@ -348,11 +348,12 @@ def centre(group) -> Subgroup:
     return subgroup(group, cen)
 
 
-def lower_central_series(group) -> list[Subgroup]:
+def lower_central_series(group, top: Subgroup | None = None) -> list[Subgroup]:
     """G_1 >= G_2 >= ... down to the trivial subgroup; G_(i+1) = [G_i, G] is
-    the normal closure of the commutators of generators of G_i and G."""
+    the normal closure of the commutators of generators of G_i and G.  G_1
+    is `top`, the whole group as a Subgroup, when the caller has built it."""
     gens = group.gens()
-    series = [whole_group(group)]
+    series = [whole_group(group) if top is None else top]
     while True:
         cur = series[-1]
         comms = [group.comm(x, g) for x in cur.generators for g in gens]
@@ -621,7 +622,7 @@ def fingerprint(group) -> Fingerprint:
         derived_type=abelian_type_of(der),
         exponent=max(hist),
         center_order=centre(group).order,
-        lcs_orders=tuple(t.order for t in lower_central_series(group)),
+        lcs_orders=tuple(t.order for t in lower_central_series(group, top)),
         sub_index2=tuple(map(tuple, idx2)),
         sub_index4=tuple(idx4),
         elt_order_histogram=tuple(sorted(hist.items())),

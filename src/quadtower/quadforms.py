@@ -5,12 +5,16 @@ discriminants get narrow-class counts and principality via cycles of reduced
 indefinite forms under the rho operator.  Everything is exact integer
 arithmetic on fundamental discriminants.
 
-Reduced forms of either sign come from one sieve over b: a reduced form
-(a, b, c) has a c = |b^2 - d| / 4 with a <= sqrt(|d| / 3) (d < 0) or
-a <= sqrt(d) (d > 0), so a is a small divisor of that product.  The odd
-primes up to that bound are sieved onto the b whose product they divide,
-from the square roots of d modulo each prime (Tonelli-Shanks), and the
-divisors are built from those primes and 2.
+Reduced forms of either sign come from one kernel that walks a: a reduced
+form (a, b, c) has b^2 = d (mod 4a) with a <= sqrt(|d| / 3) (d < 0) or
+a < sqrt(d) (d > 0).  The square roots of d modulo each odd prime up to that
+bound (Tonelli-Shanks) are lifted to its powers, and those modulo 2^(k+2)
+likewise; a prime power with no root rules out its multiples, and the roots
+b modulo 2a of every other a come from the prime-power ones by the Chinese
+remainder theorem.  Reduction then keeps one b per class modulo 2a: the one
+in (-a, a] (d < 0), or the largest b <= sqrt(d) (d > 0).  The primes,
+their least nonresidues and the power of each a's largest prime are
+module-level tables that do not depend on d.
 
 The 2-Sylow A of a negative class group is never built.  Its 2-torsion A[2]
 is read off the reduced forms, since a class is its own inverse exactly when
@@ -23,6 +27,7 @@ kernel that pgroup's abelian quotients share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -314,6 +319,32 @@ class ClassGroup:
         return len(self.classes)
 
 
+# Tables that depend on no discriminant.  They only grow, with the largest a
+# that an enumeration has reached, so |d| <= bound keeps them O(sqrt(bound)).
+_PRIMES: list[int] = []  # the odd primes up to len(_PPART) - 1
+_PPART: list[int] = [0, 1]  # _PPART[a] = the power of a's largest prime dividing a
+_NONRESIDUE: dict[int, int] = {}  # least quadratic nonresidue, per prime p = 1 (mod 4)
+
+
+def _grow_tables(limit: int) -> None:
+    """Extend _PRIMES and _PPART to cover every a <= limit, doubling.  The
+    length of _PPART tells what is covered, so it is extended last."""
+    if limit < len(_PPART):
+        return
+    n = max(limit, 2 * len(_PPART))
+    primes = []
+    ppart = [1] * (n + 1)
+    for p in range(2, n + 1):
+        if ppart[p] == 1:  # no smaller prime divides p
+            primes.append(p)
+            q = p
+            while q <= n:
+                ppart[q::q] = [q] * (n // q)
+                q *= p
+    _PRIMES[:] = primes[1:]
+    _PPART[:] = ppart
+
+
 def _sqrt_mod(n: int, p: int) -> int | None:
     """A root of x^2 = n (mod p) for an odd prime p, or None when n is a
     nonresidue; 0 when p | n (Tonelli-Shanks, Cohen, A Course in
@@ -321,18 +352,22 @@ def _sqrt_mod(n: int, p: int) -> int | None:
     n %= p
     if n == 0:
         return 0
+    if p % 4 == 3:
+        x = pow(n, (p + 1) // 4, p)
+        return x if x * x % p == n else None
     half = (p - 1) // 2
     if pow(n, half, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
     q, e = p - 1, 0
     while q % 2 == 0:
         q //= 2
         e += 1
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
+    z = _NONRESIDUE.get(p)
+    if z is None:
+        z = 2
+        while pow(z, half, p) != p - 1:
+            z += 1
+        _NONRESIDUE[p] = z
     y, x, t = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
     while t != 1:
         # t has order 2^m with m < e; y has order 2^e.
@@ -348,82 +383,106 @@ def _sqrt_mod(n: int, p: int) -> int | None:
     return x
 
 
-def _odd_primes(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    for i in range(3, isqrt(limit) + 1, 2):
-        if sieve[i]:
-            sieve[i * i :: 2 * i] = bytes(len(range(i * i, limit + 1, 2 * i)))
-    return [p for p in range(3, limit + 1, 2) if sieve[p]]
+def _roots_mod_4a(d: int, limit: int):
+    """For each a <= limit, in increasing order, such that b^2 = d (mod 4a)
+    has a root, yield a and its roots b modulo 2a, in [0, 2a).
 
-
-def _small_divisors(d: int, limit: int):
-    """For each b = d (mod 2) in [0, limit] with b^2 != d, yield b,
-    n = |b^2 - d| / 4 and the divisors of n up to `limit`, unsorted.
-
-    An odd prime p divides n exactly when b = +-r (mod p) for a square root
-    r of d modulo p, so the primes up to `limit` are sieved onto the b whose
-    n they divide; the divisors of n up to `limit` are those of its smooth
-    part, 2 and the sieved primes to their multiplicities in n.
+    For an odd prime power a = p^k the roots are b = +-t (mod p^k) with
+    b = d (mod 2), t the Hensel lift of one square root of d modulo p; a
+    fundamental d has none modulo p^2 when p | d.  Those for a = 2^k are
+    lifted the same way.  A prime power with no root zeroes its multiples
+    in `alive`.  Any other a that survives is m q, with q the power of its
+    largest prime, and its roots come by the Chinese remainder theorem from
+    those for m and for q, which agree modulo 2.
     """
-    par = d & 1
-    count = (limit - par) // 2 + 1  # b = 2 i + par for 0 <= i < count
-    factors = [[2] for _ in range(count)]
-    for p in _odd_primes(limit):
+    _grow_tables(limit)
+    alive = bytearray([1]) * (limit + 1)
+    alive[0] = 0
+    found: list = [None] * (limit + 1)
+    found[1] = [d & 1]
+    if d % 8 == 5:
+        alive[2::2] = bytes(limit // 2)
+    elif d % 8 == 1:
+        q, s = 2, 1  # s^2 = d (mod 4q)
+        while q <= limit:
+            found[q] = [s % (2 * q), -s % (2 * q)]
+            if (s * s - d) % (8 * q):
+                s += 2 * q
+            q *= 2
+    else:  # d = 4D with D = 2, 3 (mod 4): b = 2D (mod 4) for a = 2, none for 4 | a
+        if limit >= 2:
+            found[2] = [d // 2 % 4]
+        alive[4::4] = bytes(limit // 4)
+    for p in _PRIMES:
+        if p > limit:
+            break
         r = _sqrt_mod(d, p)
         if r is None:
-            continue
-        for root in (r, p - r) if r else (0,):
-            b0 = root if root % 2 == par else root + p
-            for i in range(b0 // 2, count, p):
-                factors[i].append(p)
-    for i, ps in enumerate(factors):
-        b = 2 * i + par
-        n = abs(b * b - d) // 4
-        if n == 0:
-            continue
-        divs = [1]
-        for p in ps:
-            pk = p
-            new = []
-            while pk <= limit and n % pk == 0:
-                new += [x * pk for x in divs if x * pk <= limit]
-                pk *= p
-            divs += new
-        yield b, n, divs
+            alive[p::p] = bytes(limit // p)
+        elif r == 0:
+            found[p] = [p * (d & 1)]
+            alive[p * p :: p * p] = bytes(limit // (p * p))
+        else:
+            q = p
+            while True:
+                b = r if (r - d) & 1 == 0 else q - r
+                found[q] = [b, 2 * q - b]
+                if q > limit // p:
+                    break
+                r += q * ((d - r * r) // q * pow(2 * r, -1, p) % p)
+                q *= p
+    ppart = _PPART
+    for a in compress(range(limit + 1), alive):
+        bs = found[a]
+        if bs is None:
+            q = ppart[a]
+            m = a // q
+            inv = pow(m, -1, q)
+            bs = found[a] = [
+                b + 2 * m * ((c - b) // 2 * inv % q) for b in found[m] for c in found[q]
+            ]
+        yield a, bs
 
 
 def _reduced_definite_forms(d: int) -> list[QuadForm]:
     """Reduced forms of discriminant d < 0, sorted by (a, b).
 
-    A reduced (a, +-b, c) has a c = (b^2 - d) / 4 with b <= a <= c, so
-    a <= sqrt(-d / 3) is a small divisor of that product.  (a, -b, c) is
-    reduced with (a, b, c) unless b = 0, b = a or a = c.
+    A reduced (a, b, c) has -a < b <= a <= c, so 3 a^2 <= -d, and b is the
+    root of b^2 = d (mod 4a) in its class modulo 2a that lies in (-a, a];
+    it is kept when c > a, or c = a and b >= 0.
     """
     out = []
-    amax = isqrt(-d // 3)
-    for b, n, divs in _small_divisors(d, amax):
-        for a in divs:
-            if b <= a and a * a <= n:
-                c = n // a
+    for a, bs in _roots_mod_4a(d, isqrt(-d // 3)):
+        a2, a4 = 2 * a, 4 * a
+        bs = [b - a2 if b > a else b for b in bs]
+        bs.sort()
+        for b in bs:
+            c = (b * b - d) // a4
+            if c > a or (c == a and b >= 0):
                 out.append(QuadForm(a, b, c))
-                if 0 < b < a != c:
-                    out.append(QuadForm(a, -b, c))
-    out.sort()
     return out
 
 
 def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
     """Reduced forms (+-a, b, -+c) of discriminant d > 0 in order of b, then
-    a: a c = (d - b^2) / 4 with 0 < b < sqrt(d) and |2a - b| < sqrt(d) < 2a + b,
-    so a <= sqrt(d) is a small divisor of that product."""
+    a.  They have 0 < b < sqrt(d) and |2a - b| < sqrt(d) < 2a + b, so
+    a < sqrt(d) and b lies in (sqrt(d) - 2a, sqrt(d)): of each class of
+    roots of b^2 = d (mod 4a) modulo 2a only the largest b <= isqrt(d) can
+    be reduced."""
+    s = isqrt(d)
+    found = []
+    for a, bs in _roots_mod_4a(d, s):
+        a2 = 2 * a
+        for b in bs:
+            b = s - (s - b) % a2
+            if (a2 + b) ** 2 > d and (a2 - b) ** 2 < d:  # so b > 0
+                found.append((b, a))
+    found.sort()
     out = []
-    for b, n, divs in _small_divisors(d, isqrt(d)):
-        if b == 0:
-            continue
-        for aa in sorted(divs):
-            if (2 * aa + b) ** 2 > d and (2 * aa - b) ** 2 < d:
-                out.append(QuadForm(aa, b, -(n // aa)))
-                out.append(QuadForm(-aa, b, n // aa))
+    for b, a in found:
+        c = (d - b * b) // (4 * a)
+        out.append(QuadForm(a, b, -c))
+        out.append(QuadForm(-a, b, c))
     return out
 
 

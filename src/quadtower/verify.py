@@ -16,6 +16,7 @@ from .arith import is_fundamental, prime_discriminants
 from .errors import InvalidArgument, QuadTowerError
 from .genus import chi_eval
 from .pgroup import (
+    MAX_ORDER_LOG2,
     PGroup,
     abelian_type_of,
     abelianization,
@@ -53,6 +54,8 @@ from .tower import (
 )
 
 DEFAULT_GRID_SUM = 8
+# Largest --grid: Gamma_(g,g,eps) has order 2^(2g+3).
+MAX_GRID = (MAX_ORDER_LOG2 - 3) // 2
 
 
 @dataclass
@@ -452,11 +455,13 @@ def run_all(
     bound: int = 2 * 10**6,
 ) -> list[CriterionResult]:
     """Run the full verification matrix in order.  A grid below 2 holds no
-    (n, m) point, so it is refused rather than passed with no checks.  A
-    criterion that raises a QuadTowerError is reported as one failed check,
-    named "raised", and the criteria after it still run."""
-    if grid is not None and grid < 2:
-        raise InvalidArgument(f"verify needs grid >= 2, got {grid}")
+    (n, m) point, so it is refused rather than passed with no checks; one
+    above MAX_GRID reaches groups of order above 2^MAX_ORDER_LOG2, so it is
+    refused before grid_points lists its (grid - 1)^2 points.  A criterion
+    that raises a QuadTowerError is reported as one failed check, named
+    "raised", and the criteria after it still run."""
+    if grid is not None and not 2 <= grid <= MAX_GRID:
+        raise InvalidArgument(f"verify needs 2 <= grid <= {MAX_GRID}, got {grid}")
     criteria = [
         ("group-realization", criterion_realization, (grid,)),
         ("lower-central-series", criterion_lower_central, (grid,)),

@@ -126,6 +126,23 @@ def test_group_transfers_derives_the_whole_group_once(capsys, monkeypatch):
     assert len(orders) == 9
 
 
+@pytest.mark.parametrize("report", ["fingerprint", "lcs"])
+def test_group_report_builds_the_whole_group_once(capsys, monkeypatch, report):
+    # cmd_group used to build a whole-group Subgroup that the fingerprint
+    # never read, and the lower central series built its own first term.
+    built = []
+    real = pgroup.whole_group
+
+    def counting(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(pgroup, "whole_group", counting)
+    code, _, _ = run(capsys, "--format", "json", "group", "2", "3", "1", "--report", report)
+    assert code == 0
+    assert len(built) == 1
+
+
 def test_scan_text_and_csv(capsys, tmp_path):
     code, out, _ = run(capsys, "scan", "-6000", "-1", "--type", "4p")
     assert code == 0
@@ -180,11 +197,13 @@ def test_group_order_limit_exit1(capsys, monkeypatch):
 
 def test_verify_grid_below_2_exit1(capsys):
     # A grid below 2 holds no (n, m) point; it used to pass with no checks.
-    for grid in ("1", "0", "-3"):
+    # One above 6 reaches Gamma(7, 7, eps), of order 2^17 > 2^16, and is
+    # refused before its (grid - 1)^2 points are listed.
+    for grid in ("1", "0", "-3", "7", "1000000000"):
         code, out, err = run(capsys, "verify", "--grid", grid)
         assert code == 1
         assert out == ""
-        assert "error:" in err
+        assert f"error: verify needs 2 <= grid <= 6, got {grid}" in err
 
 
 # The criteria in run_all's order, with the anchor each reports.

@@ -23,6 +23,7 @@ from quadtower.quadforms import (
     _is_reduced_indef,
     _reduced_definite_forms,
     _reduced_indefinite_forms,
+    _roots_mod_4a,
     _sqrt_mod,
     _sylow2_type,
     abelian_type_from_counts,
@@ -492,7 +493,7 @@ def test_quadform_tuple_contract():
 
 
 # ---------------------------------------------------------------------------
-# The square-root sieve against the double loops it replaced
+# The a-major square-root kernel against double loops
 # ---------------------------------------------------------------------------
 
 def _reference_definite_forms(d):
@@ -536,6 +537,45 @@ def _random_fundamentals(seed, count, lo, hi, sign):
     return out
 
 
+def _random_fundamentals_by_class(seed, per_class, lo, hi, sign):
+    """Seeded fundamental d = sign * n with n in [lo, hi], per_class of each
+    2-adic class: d = 1, 5 (mod 8) and d = 8, 12 (mod 16)."""
+    rng = random.Random(seed)
+    need = {1: per_class, 5: per_class, 8: per_class, 12: per_class}
+    out = []
+    while any(need.values()):
+        d = sign * rng.randrange(lo, hi + 1)
+        key = d % 8 if d & 1 else d % 16
+        if need.get(key) and is_fundamental(d):
+            need[key] -= 1
+            out.append(d)
+    return out
+
+
+def _assert_reaches_prime_powers(forms_by_d):
+    """Some form leads with an odd p^k, k >= 2, and some with 2^k, k >= 3,
+    for d = 1 (mod 8): the kernel's Hensel lifts, odd and 2-adic."""
+    odd = two = False
+    for d, forms in forms_by_d:
+        for f in forms:
+            ps = factor(abs(f.a))
+            if len(ps) >= 2 and len(set(ps)) == 1:
+                odd |= ps[0] > 2
+                two |= ps[0] == 2 and len(ps) >= 3 and d % 8 == 1
+    assert odd and two
+
+
+def test_roots_mod_4a_against_brute_force():
+    discs = _random_fundamentals_by_class(38, 4, 3, 10**6, -1)
+    discs += _random_fundamentals_by_class(39, 4, 5, 10**6, 1)
+    for d in discs:
+        got = {a: sorted(bs) for a, bs in _roots_mod_4a(d, 150)}
+        assert list(got) == sorted(got), d
+        for a in range(1, 151):
+            roots = [b for b in range(2 * a) if (b * b - d) % (4 * a) == 0]
+            assert got.get(a, []) == roots, (d, a)
+
+
 def test_sqrt_mod_against_brute_force():
     for p in range(3, 2000, 2):
         if any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
@@ -554,15 +594,40 @@ def test_sqrt_mod_against_brute_force():
 def test_reduced_definite_forms_match_reference():
     discs = _fundamentals(-20000, -3)
     discs += _random_fundamentals(31, 100, 20001, 3 * 10**6, -1)
-    for d in discs:
-        assert _reduced_definite_forms(d) == _reference_definite_forms(d), d
+    classed = _random_fundamentals_by_class(40, 10, 20001, 3 * 10**6, -1)
+    found = []
+    for d in discs + classed:
+        forms = _reduced_definite_forms(d)
+        assert forms == _reference_definite_forms(d), d
+        found.append((d, forms))
+    _assert_reaches_prime_powers(found[-len(classed):])
 
 
 def test_reduced_indefinite_forms_match_reference():
     discs = _fundamentals(5, 20000)
     discs += _random_fundamentals(32, 100, 20001, 3 * 10**6, 1)
-    for d in discs:
-        assert _reduced_indefinite_forms(d) == _reference_indefinite_forms(d), d
+    classed = _random_fundamentals_by_class(41, 10, 20001, 3 * 10**6, 1)
+    found = []
+    for d in discs + classed:
+        forms = _reduced_indefinite_forms(d)
+        assert forms == _reference_indefinite_forms(d), d
+        found.append((d, forms))
+    _assert_reaches_prime_powers(found[-len(classed):])
+
+
+# sha256 of the JSON list of [d, reduced forms] below, recorded before the
+# a-major kernel replaced the sieve over b.  It pins the kernel near the
+# default enumeration bound, where the double-loop references are too slow.
+FORMS_NEAR_BOUND_SHA256 = "4502074c2b590150b67435cc5f32fd4b2cb66548da5d3bb4f5e2726dd9348735"
+
+
+def test_reduced_forms_near_the_bound_pinned():
+    neg = _random_fundamentals(35, 20, 9_900_000, 10**7, -1)
+    pos = _random_fundamentals(36, 20, 9_900_000, 10**7, 1)
+    rows = [[d, [list(f) for f in _reduced_definite_forms(d)]] for d in neg]
+    rows += [[d, [list(f) for f in _reduced_indefinite_forms(d)]] for d in pos]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == FORMS_NEAR_BOUND_SHA256
 
 
 # sha256 of the JSON list of [d, classes, abelian type] below, recorded
