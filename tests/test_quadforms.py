@@ -595,24 +595,18 @@ def test_reduced_definite_forms_match_reference():
     discs = _fundamentals(-20000, -3)
     discs += _random_fundamentals(31, 100, 20001, 3 * 10**6, -1)
     classed = _random_fundamentals_by_class(40, 10, 20001, 3 * 10**6, -1)
-    found = []
     for d in discs + classed:
-        forms = _reduced_definite_forms(d)
-        assert forms == _reference_definite_forms(d), d
-        found.append((d, forms))
-    _assert_reaches_prime_powers(found[-len(classed):])
+        assert _reduced_definite_forms(d) == _reference_definite_forms(d), d
+    _assert_reaches_prime_powers((d, _reduced_definite_forms(d)) for d in classed)
 
 
 def test_reduced_indefinite_forms_match_reference():
     discs = _fundamentals(5, 20000)
     discs += _random_fundamentals(32, 100, 20001, 3 * 10**6, 1)
     classed = _random_fundamentals_by_class(41, 10, 20001, 3 * 10**6, 1)
-    found = []
     for d in discs + classed:
-        forms = _reduced_indefinite_forms(d)
-        assert forms == _reference_indefinite_forms(d), d
-        found.append((d, forms))
-    _assert_reaches_prime_powers(found[-len(classed):])
+        assert _reduced_indefinite_forms(d) == _reference_indefinite_forms(d), d
+    _assert_reaches_prime_powers((d, _reduced_indefinite_forms(d)) for d in classed)
 
 
 # sha256 of the JSON list of [d, reduced forms] below, recorded before the
