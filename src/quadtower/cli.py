@@ -138,10 +138,10 @@ def _group_report(top, kind: str):
     if kind == "subgroups":
         return [
             {"abelianization": pgroup.abelianization(sub), "normal": normal}
-            for sub, normal in pgroup.subgroups_of_index4(g)
+            for sub, normal in pgroup.subgroups_of_index4(g, top)
         ]
     if kind == "transfers":
-        subs, phi = pgroup.standard_maximal_subgroups(g)
+        subs, phi = pgroup.standard_maximal_subgroups(g, top)
         kernels = pgroup.transfer_kernel(top, subs)
         out = {f"ker_t{j}_order": order for j, (order, _) in enumerate(kernels, start=1)}
         h2, inter = pgroup.capitulation_subgroups(subs, phi)

@@ -484,11 +484,14 @@ def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
 _STANDARD_CHARACTERS = (4, 1, 5, 2, 3, 6, 7)
 
 
-def standard_maximal_subgroups(g: PGroup) -> tuple[list[Subgroup], Subgroup]:
+def standard_maximal_subgroups(
+    g: PGroup, top: Subgroup | None = None
+) -> tuple[list[Subgroup], Subgroup]:
     """The seven maximal subgroups H_1..H_7 in the standard labeling, and
     the Phi(G) they were read over, which fixes the genus field: one
-    labelling pass over G, whose Burnside basis must be (a1, a2, a3)."""
-    phi, basis, labelled = _frattini_labelling(whole_group(g))
+    labelling pass over G, whose Burnside basis must be (a1, a2, a3).  G is
+    `top`, the whole group as a Subgroup, when the caller has built it."""
+    phi, basis, labelled = _frattini_labelling(whole_group(g) if top is None else top)
     if basis != [g.a1, g.a2, g.a3]:
         raise RankMismatch("Burnside basis of the group is not (a1, a2, a3)")
     subs = [_hyperplane_preimage(phi, basis, labelled, w) for w in _STANDARD_CHARACTERS]
@@ -502,10 +505,11 @@ def capitulation_subgroups(subs: list[Subgroup], phi: Subgroup) -> tuple[Subgrou
     return subs[1], _extend(phi, phi.group.a2)
 
 
-def subgroups_of_index4(group) -> list[tuple[Subgroup, bool]]:
+def subgroups_of_index4(group, top: Subgroup | None = None) -> list[tuple[Subgroup, bool]]:
     """All index-4 subgroups with a normality flag, via maximal subgroups of
-    maximal subgroups."""
-    return _index4(group, maximal_subgroups(whole_group(group)))
+    maximal subgroups.  The group is `top`, the whole group as a Subgroup,
+    when the caller has built it."""
+    return _index4(group, maximal_subgroups(whole_group(group) if top is None else top))
 
 
 def _index4(group, maximals) -> list[tuple[Subgroup, bool]]:

@@ -219,7 +219,10 @@ def reduce_form(f: QuadForm) -> QuadForm:
 
 
 def _cycle(d: int, f: QuadForm) -> list[QuadForm]:
-    """The rho-cycle of a reduced indefinite form."""
+    """The rho-cycle of a reduced indefinite form.  Rho never comes back to
+    a form that is not reduced, so one is refused."""
+    if not _is_reduced_indef(d, f):
+        raise StructureMismatch(f"{f} is not a reduced form of discriminant {d}")
     start = f
     out = [start]
     g = _rho(d, start)

@@ -240,10 +240,11 @@ def corollary2_closed_forms(n: int, m: int) -> dict[str, AbelianType]:
 def corollary2_engine(n: int, m: int, eps: int = 1) -> dict[str, AbelianType]:
     """The same table computed from the group engine's subgroups."""
     g = gamma(n, m, eps)
-    subs, phi = standard_maximal_subgroups(g)
+    top = whole_group(g)
+    subs, phi = standard_maximal_subgroups(g, top)
     out = {f"H{j}": abelianization(sub) for j, sub in enumerate(subs, start=1)}
     out["Hgen"] = abelianization(phi)
-    out["Gprime"] = abelian_type_of(derived_subgroup(whole_group(g)))
+    out["Gprime"] = abelian_type_of(derived_subgroup(top))
     return out
 
 
@@ -317,7 +318,8 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
         # Genus field order: (1/4) h2(k) h2(-p), closed form, and the order
         # of Phi(G), the engine subgroup that fixes the genus field.
         g = gamma(n, m, 1)
-        subs, phi = standard_maximal_subgroups(g)
+        top = whole_group(g)
+        subs, phi = standard_maximal_subgroups(g, top)
         checks.append(
             Check("genus-field-h2", genus_field_h2(n, mu), (h2_k * h2_p) // 4)
         )
@@ -329,7 +331,7 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
             "[2]": g.a2,
             "[p]": g.mul(g.a2, g.pow(g.a3, 1 << (n - 1))),
         }
-        kernels = transfer_kernel(whole_group(g), subs)
+        kernels = transfer_kernel(top, subs)
         for row, (order, ker) in zip(rows, kernels):
             checks.append(Check(f"kappa-order-{row.j}", row.kappa_order, order))
             for label in row.kappa_generators:
@@ -375,7 +377,8 @@ def scan(
     Only d = 12 (mod 16) are examined; `_scan_chunk` gives the reason, and
     `_try_4pqr` how far each -d/4 is factored.  A window whose |lo| / 4 is
     above arith.DEFAULT_FACTOR_BOUND raises BoundExceeded before any d is
-    examined.  The result is deterministic and independent of the worker
+    examined, and so does one whose |lo| is above the enumeration bound
+    `bound`.  The result is deterministic and independent of the worker
     count, which is capped at the number of CPUs.
     """
     if not (lo < hi <= -1):
@@ -384,6 +387,8 @@ def scan(
         raise BoundExceeded(
             f"|{lo}| / 4 exceeds factoring bound {DEFAULT_FACTOR_BOUND}"
         )
+    if -lo > bound:
+        raise BoundExceeded(f"|{lo}| exceeds enumeration bound {bound}")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _scan_chunk((lo, hi, bound))

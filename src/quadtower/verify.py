@@ -37,6 +37,7 @@ from .pgroup import (
     whole_group,
 )
 from .quadforms import (
+    DEFAULT_ENUM_BOUND,
     AbelianType,
     QuadForm,
     class_group,
@@ -175,8 +176,8 @@ def criterion_tables(points=((2, 2), (3, 2))) -> CriterionResult:
         for eps in (0, 1):
             g = gamma(n, m, eps)
             tag = f"({n},{m},{eps})"
-            subs, _ = standard_maximal_subgroups(g)
             top = whole_group(g)
+            subs, _ = standard_maximal_subgroups(g, top)
             gprime = top.derived
             hprimes = [sub.derived.elements for sub in subs]
             for j, (hprime, dgens) in enumerate(
@@ -295,8 +296,9 @@ def criterion_real_family() -> CriterionResult:
     res = CriterionResult(7, "real-family-kernel")
     for n in range(2, 6):
         g = gamma(n, 1, 0)
-        subs, _ = standard_maximal_subgroups(g)
-        ((order, _),) = transfer_kernel(whole_group(g), [subs[5]])
+        top = whole_group(g)
+        subs, _ = standard_maximal_subgroups(g, top)
+        ((order, _),) = transfer_kernel(top, [subs[5]])
         res.checks.append(Check(f"kernel-order(n={n})", 8, order))
     return res
 
@@ -332,7 +334,7 @@ CLOSING_TABLE = (
 )
 
 
-def criterion_field_tables(bound: int = 2 * 10**6) -> CriterionResult:
+def criterion_field_tables(bound: int = DEFAULT_ENUM_BOUND) -> CriterionResult:
     """Classification and invariants of all published example fields."""
     res = CriterionResult(8, "field-tables")
     for d, p, q, qp, m, n in FIELD_TABLE:
@@ -452,7 +454,7 @@ def criterion_oracles(
 def run_all(
     grid: int | None = None,
     seed: int = 0,
-    bound: int = 2 * 10**6,
+    bound: int = DEFAULT_ENUM_BOUND,
 ) -> list[CriterionResult]:
     """Run the full verification matrix in order.  A grid below 2 holds no
     (n, m) point, so it is refused rather than passed with no checks; one

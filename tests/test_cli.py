@@ -126,10 +126,11 @@ def test_group_transfers_derives_the_whole_group_once(capsys, monkeypatch):
     assert len(orders) == 9
 
 
-@pytest.mark.parametrize("report", ["fingerprint", "lcs"])
+@pytest.mark.parametrize("report", ["fingerprint", "subgroups", "transfers", "lcs"])
 def test_group_report_builds_the_whole_group_once(capsys, monkeypatch, report):
     # cmd_group used to build a whole-group Subgroup that the fingerprint
-    # never read, and the lower central series built its own first term.
+    # never read, and the lower central series, the index-4 subgroups and
+    # the standard maximal subgroups each built their own.
     built = []
     real = pgroup.whole_group
 
@@ -315,57 +316,15 @@ def test_parser_reuse_matches_fresh_runs(capsys):
         assert out == _fresh_run(*argv)
 
 
-# sha256 of the stdout of `quadtower --format json crosscheck d` for the 15
-# FIELD_TABLE fields and -2580, and of `quadtower --format csv scan -60000 -1`,
-# recorded before QuadForm became a NamedTuple and compose began reducing on
-# integers: a change to the form or group kernels must leave them
-# byte-identical.
-CROSSCHECK_SHA256 = {
-    -2244: "79612529e739586b999e96b9026b3645af737f729f844bb0fa0319957ec1438f",
-    -2580: "3be1d186fe92e8865975dd640098a7d8caf3e9b90c90bee2bdf7c41bd8a49a35",
-    -5412: "3ad2452c5e6512c3457e90053a9262551badab575169e79106b82c2877063d87",
-    -9348: "50e07d7f1843006b50e43324ea998f90792193a4ac8489a05d12c7c12a073881",
-    -21828: "76323e20e10b1c42282959da2584514e79dcae8a6172ba4c145d360efa1bbf23",
-    -25764: "6dfc16d4b489b026d5350c3bc3b8a3a13b3faa3b20f00dfaefbe1cc2aa52945a",
-    -37092: "a16a972bd1fc9867d3d207595f68e88c8ce5de8c419529abcf5367c82752367e",
-    -75108: "c58a78c3e34780aa2ae2a1672cbbc2a1dfc6dcfb6c398f43bd8107e3ba9156a6",
-    -78276: "5a66ac07b20d10e3bca04be09c2efe8ead764569c7dc705c33acb94d31a609e6",
-    -101796: "2eaed7acb63d3a00802f2e8bb46d1c8818e331e86bbb3cb99f221b493ed4a85f",
-    -106788: "5e74b39fc07f49ef4b1c83be9e95cd04e882cdec2b053aec8da3267aaafbb03e",
-    -132612: "b77dd7d983d06535bade5591c2974ca4ae41bdfafe73889d160a1992ba7acc31",
-    -169796: "f6162caef86fd4de751a621e297e938e37f931fb855738dc9552675d2ed7311b",
-    -255972: "881cf060be3c1c19dc6f0ba92d8111ff2ca08e97ae325f54520d2a64935a3248",
-    -329988: "c60f58824dbf81858fd5b48c874868643ab9b3703a3c0dfbfe25b2ee8f3a7a88",
-    -1886244: "021def05fd82da607b88a5d64ca84894c12e059f0d56c9f85a77f1deda762779",
-}
-SCAN_60000_SHA256 = "dfc62dd7e4a437068010398e98a87631befa4cf48b394dfc0472d49a560d0db3"
-
-
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_crosscheck_json_pinned(capsys):
-    from quadtower.verify import FIELD_TABLE
-
-    assert sorted(CROSSCHECK_SHA256) == sorted([row[0] for row in FIELD_TABLE] + [-2580])
-    for d, digest in CROSSCHECK_SHA256.items():
-        code, out, _ = run(capsys, "--format", "json", "crosscheck", str(d))
-        assert code == 0
-        assert _sha256(out) == digest, d
-
-
-def test_scan_csv_pinned(capsys):
-    code, out, _ = run(capsys, "--format", "csv", "scan", "-60000", "-1")
-    assert code == 0
-    assert _sha256(out) == SCAN_60000_SHA256
-
-
 # sha256 of json.dumps([exit code, stdout, stderr]) of `quadtower --format
 # FORMAT ARGS`, keyed "FORMAT ARGS", for every command in each format that
-# the pins above leave out, error paths included, and of the file that
-# `scan -20000 -1 --csv FILE` writes: recorded before the JSON encoder
-# read report shapes off their dataclasses.
+# the stdout pins of tests/test_pins.py leave out, error paths included,
+# and of the file that `scan -20000 -1 --csv FILE` writes: recorded before
+# the JSON encoder read report shapes off their dataclasses.
 CLI_GOLDEN_SHA256 = {
     "text classify -2244":
         "26ea01bfda7ad337374db8155f67526589e91509e3de8faf2f1d082538d68ac9",

@@ -253,6 +253,13 @@ def test_compose_real_lands_in_reference_cycle():
                 assert h in _cycle(d, _dirichlet_compose(f, g)), (d, f, g)
 
 
+def test_cycle_refuses_a_form_that_is_not_reduced():
+    # Rho never comes back to (1, 0, -3): unguarded, its cycle would grow
+    # until memory runs out.
+    with pytest.raises(StructureMismatch):
+        _cycle(12, QuadForm(1, 0, -3))
+
+
 def test_sylow2_matches_genus_theory():
     for d in _fundamentals(-5000, -3):
         g = class_group(d)

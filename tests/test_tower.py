@@ -373,3 +373,22 @@ def test_scan_above_factor_bound_raises():
     # The matcher refuses a core above arith.DEFAULT_FACTOR_BOUND, as factor does.
     with pytest.raises(BoundExceeded):
         scan(-4 * 2**40 - 64, -4 * 2**40 - 4)
+
+
+def test_scan_above_enumeration_bound_raises_before_any_class_group(monkeypatch):
+    # The walk runs from hi downward: a window past the bound that is refused
+    # late has done the whole scan below the bound first.
+    calls = []
+    real = tower.class_group
+
+    def counting(d, bound):
+        calls.append(d)
+        return real(d, bound)
+
+    monkeypatch.setattr(tower, "class_group", counting)
+    with pytest.raises(BoundExceeded, match=r"\|-1100000\| exceeds enumeration bound 1000000"):
+        scan(-1100000, -1, bound=10**6)
+    assert calls == []
+    # A window whose lo sits exactly at the bound is allowed.
+    scan(-10**6, -10**6 + 2000, bound=10**6)
+    assert calls
