@@ -320,6 +320,27 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# The crosscheck and scan digests are rows of PINS in tests/test_pins.py;
+# these two tests check the rows of their commands with its checker.
+def test_crosscheck_json_pinned():
+    from quadtower.verify import FIELD_TABLE
+    from test_pins import PINS, check
+
+    rows = [pin for pin in PINS if pin[0].startswith("--format json crosscheck ")]
+    assert sorted(int(argv.split()[-1]) for argv, _, _ in rows) == sorted(
+        [row[0] for row in FIELD_TABLE] + [-2580]
+    )
+    assert check(rows) == []
+
+
+def test_scan_csv_pinned():
+    from test_pins import PINS, check
+
+    rows = [pin for pin in PINS if pin[0] == "--format csv scan -60000 -1"]
+    assert len(rows) == 1
+    assert check(rows) == []
+
+
 # sha256 of json.dumps([exit code, stdout, stderr]) of `quadtower --format
 # FORMAT ARGS`, keyed "FORMAT ARGS", for every command in each format that
 # the stdout pins of tests/test_pins.py leave out, error paths included,
