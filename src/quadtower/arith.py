@@ -80,17 +80,17 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def check_factorable(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> None:
-    """Raise what factor(n, bound) raises for an n outside [1, bound]."""
+def check_factorable(n: int) -> None:
+    """Raise what factor(n) raises for an n outside [1, DEFAULT_FACTOR_BOUND]."""
     if n < 1:
         raise InvalidArgument(f"factor requires n >= 1, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"{n} exceeds factoring bound {bound}")
+    if n > DEFAULT_FACTOR_BOUND:
+        raise BoundExceeded(f"{n} exceeds factoring bound {DEFAULT_FACTOR_BOUND}")
 
 
-def factor(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
+def factor(n: int) -> list[int]:
     """Prime factors of n >= 1 with multiplicity, sorted; trial division."""
-    check_factorable(n, bound)
+    check_factorable(n)
     out: list[int] = []
     for p in (2, 3):
         while n % p == 0:

@@ -8,6 +8,7 @@ Exit codes: 0 on success with all checks passing, 2 if any check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -15,7 +16,7 @@ import json
 import sys
 
 from . import pgroup
-from .errors import QuadTowerError
+from .errors import InvalidArgument, QuadTowerError
 from .quadforms import DEFAULT_ENUM_BOUND, AbelianType
 from .tower import Check, TowerReport, classify, crosscheck, invariants, predict, scan
 from .verify import run_all
@@ -213,17 +214,25 @@ def _write_csv(fh, rows) -> None:
 
 
 def cmd_scan(args, config) -> int:
-    reports = scan(args.lo, args.hi, bound=args.bound, workers=args.workers)
-    if args.type:
-        want = "Type4p" if args.type == "4p" else "Type4r"
-        reports = [r for r in reports if r.classification.kind == want]
-    rows = [
-        dict(zip(CSV_COLUMNS, (r.d, r.classification.kind, *r.classification.primes,
-                               r.n, r.m, r.h2_k, r.h2_minus4p)))
-        for r in reports
-    ]
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+    # The --csv file is opened before the scan, so an unwritable path fails
+    # at once instead of after the whole window.  It is opened to append and
+    # emptied only once the rows are in, so a failed scan leaves it as it was.
+    try:
+        fh = open(args.csv, "a", newline="") if args.csv else contextlib.nullcontext()
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {args.csv}: {exc.strerror}") from None
+    with fh:
+        reports = scan(args.lo, args.hi, bound=args.bound, workers=args.workers)
+        if args.type:
+            want = "Type4p" if args.type == "4p" else "Type4r"
+            reports = [r for r in reports if r.classification.kind == want]
+        rows = [
+            dict(zip(CSV_COLUMNS, (r.d, r.classification.kind, *r.classification.primes,
+                                   r.n, r.m, r.h2_k, r.h2_minus4p)))
+            for r in reports
+        ]
+        if args.csv:
+            fh.truncate(0)
             _write_csv(fh, rows)
     if args.format == "json":
         _emit_json("scan", config, rows, [])

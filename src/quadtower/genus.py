@@ -22,7 +22,6 @@ from .quadforms import (
     DEFAULT_ENUM_BOUND,
     ClassGroup,
     QuadForm,
-    class_group,
     compose,
     is_principal,
     prime_form,
@@ -54,14 +53,12 @@ def _coprime_positive_value(f: QuadForm, modulus: int) -> int:
     )
 
 
-def chi_eval(d: int, d_i: PrimeDiscriminant | int, f: QuadForm) -> int:
+def chi_eval(d: int, d_i: PrimeDiscriminant, f: QuadForm) -> int:
     """Genus character chi_{d_i} evaluated on the class of f.
 
     Returns kronecker(d_i, v) for a represented value v > 0 coprime to d;
     the result does not depend on the choice of v.
     """
-    if isinstance(d_i, int):
-        d_i = PrimeDiscriminant(d_i)
     if f.disc != d:
         raise DiscriminantMismatch(f"form of discriminant {f.disc}, field {d}")
     if d_i not in prime_discriminants(d):
@@ -70,20 +67,13 @@ def chi_eval(d: int, d_i: PrimeDiscriminant | int, f: QuadForm) -> int:
     return kronecker(d_i.value, v)
 
 
-def square_2torsion(
-    d: int, bound: int = DEFAULT_ENUM_BOUND, group: ClassGroup | None = None
-) -> list[QuadForm]:
+def square_2torsion(group: ClassGroup) -> list[QuadForm]:
     """Representatives of Cl(d)^2 intersected with Cl(d)[2], for d < 0.
 
     Computed directly from the explicit class group: the set of squares of all
-    classes intersected with the set of classes of order dividing 2.  A caller
-    that has already built `class_group(d)` passes it as `group`.
+    classes intersected with the set of classes of order dividing 2.
     """
-    if group is None:
-        group = class_group(d, bound)
-    elif group.disc != d:
-        raise DiscriminantMismatch(f"class group of {group.disc}, field {d}")
-    one = reduce_form(principal_form(d))
+    one = reduce_form(principal_form(group.disc))
     squared = [compose(f, f) for f in group.classes]
     torsion = {f for f, f2 in zip(group.classes, squared) if f2 == one}
     return sorted(torsion.intersection(squared))

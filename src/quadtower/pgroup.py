@@ -643,14 +643,12 @@ def distinguish(g1, g2) -> str:
 # Presentation oracle
 # ---------------------------------------------------------------------------
 
-# Products per sampled triple: (xy)z and x(yz) for associativity; three
-# conjugated double commutators, their product and the Witt word for Hall-Witt.
-_ASSOC_PRODUCTS = 4
-_WITT_PRODUCTS = 46
+# Triples drawn by the sampled associativity and Hall-Witt checks.
+_ASSOC_SAMPLES = 10**4
 _WITT_SAMPLES = 2000
-# Largest group whose Cayley table the sampled checks may read: at 8 bytes a
-# product, 8 MB.
-_TABLE_MAX_ORDER = 1 << 10
+# Largest group whose Cayley table the sampled checks read: its 65,536
+# entries are fewer than the 132,000 products the samples make.
+_TABLE_MAX_ORDER = 256
 
 
 def _cayley_table(g, els):
@@ -701,23 +699,21 @@ def _witt_sample(rng, points, mul, inv, ident, count: int) -> bool:
     return True
 
 
-def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
+def verify_presentation(g, seed: int = 0) -> dict:
     """Independent checks that the collection engine realizes the intended
     presentation: element count, identity, inverses, relations, sampled
     associativity, the standard commutator identities on the generators,
     sampled Hall-Witt identities and generation, reported in that order.
     Returns a report dict; never raises.
 
-    The two sampled checks make 4 products per associativity triple and 46
-    per Hall-Witt triple, at most 4 samples + 46 min(samples, 2000) in all
-    (132,000 by default).  When |G|^2 is no more than that (every group up
-    to order 256 by default) and |G| <= 2^10, they run on indices into a
-    Cayley table filled once by g.mul and g.inv, so it holds exactly the
-    engine's products; otherwise they run on g.mul.  Each check draws all
-    its triples with one rng.choices call, over indices on the table path
-    and over g.elements() on the direct path, so a seed samples the same
-    triples on both.  (Before the table, triples were drawn one element at
-    a time: a seed now samples different triples, the same number of them.)
+    The two sampled checks draw 10^4 associativity triples of 4 products
+    each and 2000 Hall-Witt triples of 46 products each, 132,000 products in
+    all.  For a group of order up to 256, whose Cayley table has fewer
+    entries than that, they run on indices into a table filled once by g.mul
+    and g.inv, so it holds exactly the engine's products; for a larger group
+    they run on g.mul.  Each check draws all its triples with one
+    rng.choices call, over indices on the table path and over g.elements()
+    on the direct path, so a seed samples the same triples on both.
     """
     report = {"order": None, "failures": [], "seed": seed}
     mul, inv, comm, gpow = g.mul, g.inv, g.comm, g.pow
@@ -756,15 +752,11 @@ def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
         check("rel-c23", c23 == ident)
         check("rel-cijsq", gpow(c12, 2) == ident and gpow(c13, 2) == ident)
 
-    witt_samples = min(samples, _WITT_SAMPLES)
-    products = _ASSOC_PRODUCTS * samples + _WITT_PRODUCTS * witt_samples
-    domain = None
-    if len(els) <= _TABLE_MAX_ORDER and len(els) ** 2 <= products:
-        domain = _cayley_table(g, els)
+    domain = _cayley_table(g, els) if len(els) <= _TABLE_MAX_ORDER else None
     points, smul, sinv, sident = domain or (els, mul, inv, ident)
     rng = random.Random(seed)
     check("associativity-sample",
-          _associativity_sample(rng, points, smul, samples))
+          _associativity_sample(rng, points, smul, _ASSOC_SAMPLES))
 
     # Commutator identities on generators (metabelian form).
     gens = [a1, a2, a3]
@@ -784,7 +776,7 @@ def verify_presentation(g, seed: int = 0, samples: int = 10**4) -> dict:
     check("product-commutator-identities", ok_gen)
 
     check("witt-identities",
-          _witt_sample(rng, points, smul, sinv, sident, witt_samples))
+          _witt_sample(rng, points, smul, sinv, sident, _WITT_SAMPLES))
 
     check("generation", subgroup(g, gens).order == g.order)
     report["ok"] = not report["failures"]

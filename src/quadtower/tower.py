@@ -112,8 +112,10 @@ def _try_4pqr(d: int) -> FieldClassification | None:
     (p/q) and (p/q') are read before p3 is tested and before any Check is
     built, and the witness is built for the one ordering (q, q') with
     (-q/q') = -1: q and q' are distinct primes = 3 (mod 4), so by
-    reciprocity exactly one ordering has it.  A core above
-    arith.DEFAULT_FACTOR_BOUND raises BoundExceeded, as `factor` does.
+    reciprocity exactly one ordering has it.  The witness holds the symbols
+    as computed, (-q/q') after that choice, so a wrong symbol shows as a
+    failed check.  A core above arith.DEFAULT_FACTOR_BOUND raises
+    BoundExceeded, as `factor` does.
     """
     if d % 4 != 0:
         return None
@@ -147,18 +149,19 @@ def _try_4pqr(d: int) -> FieldClassification | None:
     p = ones[0]
     q, qp = [x for x in (p1, p2, p3) if x != p]
     # The primality test is the dearest step, so the symbols come first.
-    if kronecker(p, q) != -1 or kronecker(p, qp) != -1 or not is_prime(p3):
+    if ((p_q := kronecker(p, q)) != -1 or (p_qp := kronecker(p, qp)) != -1
+            or not is_prime(p3)):
         return None
     if kronecker(-q, qp) != -1:
-        q, qp = qp, q
+        q, qp, p_q, p_qp = qp, q, p_qp, p_q
     kind = TYPE_4P if p % 8 == 1 else TYPE_4R
     witness = (
         Check(f"{p} mod 8", 1 if kind == TYPE_4P else 5, p % 8),
         Check(f"{q} mod 8", 3, q % 8),
         Check(f"{qp} mod 8", 3, qp % 8),
-        Check(f"({p}/{q})", -1, -1),
-        Check(f"({p}/{qp})", -1, -1),
-        Check(f"(-{q}/{qp})", -1, -1),
+        Check(f"({p}/{q})", -1, p_q),
+        Check(f"({p}/{qp})", -1, p_qp),
+        Check(f"(-{q}/{qp})", -1, kronecker(-q, qp)),
     )
     return FieldClassification(d, kind, (p, q, qp), witness)
 
@@ -237,9 +240,9 @@ def corollary2_closed_forms(n: int, m: int) -> dict[str, AbelianType]:
     return out
 
 
-def corollary2_engine(n: int, m: int, eps: int = 1) -> dict[str, AbelianType]:
-    """The same table computed from the group engine's subgroups."""
-    g = gamma(n, m, eps)
+def corollary2_engine(n: int, m: int) -> dict[str, AbelianType]:
+    """The same table computed from the group engine's subgroups of Gamma_{n,m,1}."""
+    g = gamma(n, m, 1)
     top = whole_group(g)
     subs, phi = standard_maximal_subgroups(g, top)
     out = {f"H{j}": abelianization(sub) for j, sub in enumerate(subs, start=1)}
@@ -286,7 +289,7 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
 
     # Square torsion: exactly one nontrivial 2-torsion class is a square;
     # for p = 1 mod 8 it is the class [2][p].
-    torsion = square_2torsion(d, bound, group)
+    torsion = square_2torsion(group)
     if cls.kind == TYPE_4P:
         two_p = compose(prime_form(d, 2), prime_form(d, p))
         expected_st = sorted({reduce_form(principal_form(d)), two_p})

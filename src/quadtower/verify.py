@@ -169,10 +169,10 @@ def _expected_kernel_gens(g: PGroup, n: int) -> dict[int, list]:
     }
 
 
-def criterion_tables(points=((2, 2), (3, 2))) -> CriterionResult:
+def criterion_tables() -> CriterionResult:
     """Derived subgroups, transfer values, and transfer kernels of H_1..H_7."""
     res = CriterionResult(3, "subgroup-tables")
-    for n, m in points:
+    for n, m in ((2, 2), (3, 2)):
         for eps in (0, 1):
             g = gamma(n, m, eps)
             tag = f"({n},{m},{eps})"
@@ -358,10 +358,10 @@ def criterion_field_tables(bound: int = DEFAULT_ENUM_BOUND) -> CriterionResult:
     return res
 
 
-def criterion_crosschecks(d: int = -2244) -> CriterionResult:
-    """Number-theoretic vs group-theoretic cross-checks on one field."""
+def criterion_crosschecks() -> CriterionResult:
+    """Number-theoretic vs group-theoretic cross-checks on the field -2244."""
     res = CriterionResult(9, "number-theory-crosschecks")
-    report = crosscheck(d)
+    report = crosscheck(-2244)
     res.checks.extend(report.checks)
     by_name = {c.name: c for c in report.checks}
     res.checks.append(

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from quadtower.arith import (
+    DEFAULT_FACTOR_BOUND,
     PrimeDiscriminant,
     factor,
     is_fundamental,
@@ -63,7 +64,7 @@ def test_factor_sorted_with_multiplicity():
 
 def test_factor_bound():
     with pytest.raises(BoundExceeded):
-        factor(10**15, bound=10**6)
+        factor(DEFAULT_FACTOR_BOUND + 1)
     with pytest.raises(ValueError):
         factor(0)
 

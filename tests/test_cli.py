@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import quadtower
-from quadtower import pgroup, verify
-from quadtower.cli import CSV_COLUMNS, main
+from quadtower import cli, pgroup, verify
+from quadtower.cli import CSV_COLUMNS, build_parser, main
 from quadtower.errors import StructureMismatch
 from quadtower.pgroup import PGroup
 from quadtower.tower import Check
@@ -183,6 +183,41 @@ def test_scan_above_factor_bound_exit1(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: |-4398046511168| / 4 exceeds factoring bound 1099511627776\n"
+
+
+def test_scan_unwritable_csv_exit1(capsys, monkeypatch, tmp_path):
+    # A scan that fails after its --csv file is opened leaves the file as it was.
+    kept = tmp_path / "kept.csv"
+    kept.write_text("d\n")
+    code, _, _ = run(capsys, "scan", "-20000000", "-1", "--csv", str(kept))
+    assert code == 1
+    assert kept.read_text() == "d\n"
+
+    # The --csv file is opened before the scan runs, so the scan never runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan ran before the --csv file was opened")
+
+    monkeypatch.setattr(cli, "scan", refuse)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "scan", "-6000", "-1", "--csv", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line usage", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["quadtower"]]
+    assert len(commands) == 11
+    unparsed = []
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            unparsed.append(" ".join(argv))
+    assert unparsed == []
 
 
 def test_group_order_limit_exit1(capsys, monkeypatch):

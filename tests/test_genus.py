@@ -66,21 +66,18 @@ def test_chi_search_is_bounded():
     # A negative definite form takes no positive value: the value search
     # stops at its box instead of running forever.
     with pytest.raises(BoundExceeded):
-        chi_eval(-3, -3, QuadForm(-1, 1, -1))
+        chi_eval(-3, PrimeDiscriminant(-3), QuadForm(-1, 1, -1))
 
 
 def test_square_2torsion_examples():
     d = -2244
     two_p = reduce_form(compose(prime_form(d, 2), prime_form(d, 17)))
-    assert square_2torsion(d) == sorted([reduce_form(principal_form(d)), two_p])
-    assert square_2torsion(-4) == [reduce_form(principal_form(-4))]
+    expected = sorted([reduce_form(principal_form(d)), two_p])
+    assert square_2torsion(class_group(d)) == expected
+    assert square_2torsion(class_group(-4)) == [reduce_form(principal_form(-4))]
     # Squares of a cyclic group of order 4 meet the 2-torsion in C2.
-    result = square_2torsion(-68)
+    result = square_2torsion(class_group(-68))
     assert len(result) == 2 and QuadForm(2, 2, 9) in result
-    # A class group built by the caller gives the same result.
-    assert square_2torsion(-68, group=class_group(-68)) == result
-    with pytest.raises(DiscriminantMismatch):
-        square_2torsion(-68, group=class_group(-84))
 
 
 def test_lemma1_examples():

@@ -65,6 +65,122 @@ PINS = [
      "c60f58824dbf81858fd5b48c874868643ab9b3703a3c0dfbfe25b2ee8f3a7a88", "fast"),
     ("--format json crosscheck -1886244",
      "021def05fd82da607b88a5d64ca84894c12e059f0d56c9f85a77f1deda762779", "fast"),
+    # Group fingerprints: the 14 inputs of the fingerprint-groups benchmark
+    # workload, and (4, 4, 1), of order 2^11.
+    ("--format json group 1 3 0 --report fingerprint",
+     "7406ecfa4d85d5bd2325a812c720db9b40d48f160cbd2545a81b9af9526a376a", "fast"),
+    ("--format json group 1 3 1 --report fingerprint",
+     "2cff42c314087d8c36263146cffb8f670c9d3c07ce4894da4f013fc98cae8909", "fast"),
+    ("--format json group 2 2 0 --report fingerprint",
+     "24523a2ad58883d120ee09076267a2213e8a279fd69caa6943471bac1fa61e1d", "fast"),
+    ("--format json group 2 2 1 --report fingerprint",
+     "bf4a6e661862e6ad6fac7d28db1228285cfeed78da9810753ea778da92ee46ee", "fast"),
+    ("--format json group 3 1 0 --report fingerprint",
+     "c25e113b4fd816d656a939cb82bd38f3dbb07f7c98a214c9d70bf6800994f13d", "fast"),
+    ("--format json group 3 1 1 --report fingerprint",
+     "8eca1226eb0bc5ba8d2e6fceeaeab0ab9ce5ac3fc8222ed5bffc33a10542dad4", "fast"),
+    ("--format json group 1 4 0 --report fingerprint",
+     "ce74e39be0826d4c4ce996f43ced78dcae48fc17e553e423a8519e8a691e2d49", "fast"),
+    ("--format json group 1 4 1 --report fingerprint",
+     "b325df0389250e552a05fb4eecf2f6660e46ebc02c0a370cab62d7d01e2e3527", "fast"),
+    ("--format json group 2 3 0 --report fingerprint",
+     "b1160399a1b2fddff44b60a82cb5041c11c57d7370e7c8db2df1bbb9ed1dd588", "fast"),
+    ("--format json group 2 3 1 --report fingerprint",
+     "8ac4bda0ca676d1bab0b3d716a8a1dc020659e7fdf1e2385243d5487b4a0c8dc", "fast"),
+    ("--format json group 3 2 0 --report fingerprint",
+     "3626d0119792846ef8dbce37b89b03332215c4e74c20e3c75c006e234292e837", "fast"),
+    ("--format json group 3 2 1 --report fingerprint",
+     "18d9084b0683884ab3eaf982b38392f37d1133da6b688013e9a3f19331a62bc1", "fast"),
+    ("--format json group 4 1 0 --report fingerprint",
+     "5e7b97db2faf484c7e35bc26d06232d56f0f88dcb137ea7265c0bd67bce85a54", "fast"),
+    ("--format json group 4 1 1 --report fingerprint",
+     "b59dadf6f804561645a20c9d70e16b41082734610e138663c1506b5268d77c6a", "fast"),
+    ("--format json group 4 4 1 --report fingerprint",
+     "a50726f6595c70e4e4a9616e9654bb6fa3acc331aab0bd3444c9a4347604faa2", "fast"),
+    # Subgroups and transfers reports for n + m <= 5, and subgroups at
+    # order 2^9.
+    ("--format json group 1 1 0 --report subgroups",
+     "723837b6537e0e1cecaa3e479600efe4ddd7f5fa12d87f9159745604dbfd9276", "fast"),
+    ("--format json group 1 1 1 --report subgroups",
+     "16dfe39d52e315096c7edc5c702a4157f3ebf09ad7a7ccf4b8abeeb036a86f78", "fast"),
+    ("--format json group 1 2 0 --report subgroups",
+     "3b5596c9734e423953d9c3e01e4de796156a6a6453a374b18f3a7a9071c8b36d", "fast"),
+    ("--format json group 1 2 1 --report subgroups",
+     "2099d9b890fff1f094ba2c9886351437b2e985809823d69bb2a81cc1f1546738", "fast"),
+    ("--format json group 2 1 0 --report subgroups",
+     "67f8c011bb185d72919e5dfb20fbf2050bf3e3c4ac1962fdc00ee3c7699c4b44", "fast"),
+    ("--format json group 2 1 1 --report subgroups",
+     "553dfeae14b74d72d153a51502fc02028ff487526c8151ca07668f719b4f150d", "fast"),
+    ("--format json group 1 3 0 --report subgroups",
+     "dc5b123078469b24de8063833918eadf6b7732ee806bcc26d34b5f844ba52d3a", "fast"),
+    ("--format json group 1 3 1 --report subgroups",
+     "3e5f71d3ae88ad420bd5e77a9f3a7f7ab32dae08633583e461f2b8413de15275", "fast"),
+    ("--format json group 2 2 0 --report subgroups",
+     "793da37c7349036937d43395fd74d870ee5bbe72caa33e6064edc0beb697e711", "fast"),
+    ("--format json group 2 2 1 --report subgroups",
+     "63205dcf56cbbc79092e2bbc287124f1288e7f504b5cd9b8414ddb47449ef2b2", "fast"),
+    ("--format json group 3 1 0 --report subgroups",
+     "6efc21ac7d73041a8f88181a847b3836242f05aec84647f7f01aea2c47370f9b", "fast"),
+    ("--format json group 3 1 1 --report subgroups",
+     "ca4cc954047060e05123a18bc35ee594c4411605448f1cdc5af5cc9a1fe5255e", "fast"),
+    ("--format json group 1 4 0 --report subgroups",
+     "3d4983bab2be0b45c2a081894d88b82f6688ba7ab019e49f6f5e311336e4297b", "fast"),
+    ("--format json group 1 4 1 --report subgroups",
+     "78b3b59293f5a2638122fb851ef76e24f98857bf2f41f94eb0060979470d5dd3", "fast"),
+    ("--format json group 2 3 0 --report subgroups",
+     "7ee85225c5f9d144bfe4dcd503b2d60565831782e454877c5b48984d4d40f867", "fast"),
+    ("--format json group 2 3 1 --report subgroups",
+     "f02c26be0cee3dc3b33d23fc4bff2bd753d180f9dbbfdb764c2d0a741986e6bb", "fast"),
+    ("--format json group 3 2 0 --report subgroups",
+     "c653b8dbb3fb713cf69a146256f65aeb9f20c60882f1dee8f242972755b6c2fa", "fast"),
+    ("--format json group 3 2 1 --report subgroups",
+     "9436e85bf90220c8938273d48d1eaf601c25f467687f5b7a98b8e0754a5589fb", "fast"),
+    ("--format json group 4 1 0 --report subgroups",
+     "1042473926309168ccf6779cefa83b0ecf9755772f32be9b8794e5943fb027cf", "fast"),
+    ("--format json group 4 1 1 --report subgroups",
+     "2d30017cbc95b93a1d60aab2ce9f8db831ea4358775b86b8aab250cf7d4d167e", "fast"),
+    ("--format json group 1 1 0 --report transfers",
+     "62e5ffb42532a4f82c91cc1488b1718a39a8b55c4b4368ca69eb2b16d8846667", "fast"),
+    ("--format json group 1 1 1 --report transfers",
+     "9fac6641df60149cf0203d04d5f1ef96696318c6ee22b72d6ed7385b4a5c54fa", "fast"),
+    ("--format json group 1 2 0 --report transfers",
+     "4921eed0b6a3a4d31ac7ff6103791f5f192996865b5bd7ac6d6e50af99777da0", "fast"),
+    ("--format json group 1 2 1 --report transfers",
+     "2bed8f04d2a98fee97488b29fd5e1ee142291a0e72115bc02c14e85cd1f1d6c2", "fast"),
+    ("--format json group 2 1 0 --report transfers",
+     "e9db3e6ef35ec19a3ac1d900cc2a6ff2f8ed40cd09c7c4e8054036df52c2dfcf", "fast"),
+    ("--format json group 2 1 1 --report transfers",
+     "63d4f4d417a2794ef2bc22ff27e7fa53b7dccc77cfee9d8fa387463080ab6444", "fast"),
+    ("--format json group 1 3 0 --report transfers",
+     "813405ff2efd496c3eaccc8df33297bcfb03108d8acf6fce14df8c4329d94dd0", "fast"),
+    ("--format json group 1 3 1 --report transfers",
+     "1ceb8939633dfae499488ee0a332a2588316d13adb90768e0e8ca77c984cf677", "fast"),
+    ("--format json group 2 2 0 --report transfers",
+     "cf19e6143553e23864de9eace16004d541507629765e20b03889d42deb59bca7", "fast"),
+    ("--format json group 2 2 1 --report transfers",
+     "bff5ce18fad4ccdaa3d18365ac9e758fdf501d607cf328c33854bae3a4ab2891", "fast"),
+    ("--format json group 3 1 0 --report transfers",
+     "bddb1776eace74fc4208ba765d1c14bd7f70de96f34616056c757459909fb2b9", "fast"),
+    ("--format json group 3 1 1 --report transfers",
+     "a9603803ddf5af96ac7e6d1b881240255e9fcc236e7690bdfb0608a652c1c836", "fast"),
+    ("--format json group 1 4 0 --report transfers",
+     "49e2b795c35b9e7391d86b8e34f8165e68f53f002b7da18381a6698527a80f86", "fast"),
+    ("--format json group 1 4 1 --report transfers",
+     "dffcde9026ae251b2fc80ca1038cd96421a5d59decfdc937d6e6deb860b4f8fd", "fast"),
+    ("--format json group 2 3 0 --report transfers",
+     "40270864232e343e57effce3db420bc02fc3b2c39847af02cad6085d65ab3b3b", "fast"),
+    ("--format json group 2 3 1 --report transfers",
+     "5547e48d708e3391f6b0088eff25c80b048b31aed3cf60d7d2f0a71fc48b8fda", "fast"),
+    ("--format json group 3 2 0 --report transfers",
+     "43aa5a8c1e677150bc41eb71e05a45828dc849ca163b6e978b450f08f8f6b40b", "fast"),
+    ("--format json group 3 2 1 --report transfers",
+     "11b229bd97a243e18561d47d7fe6c8aae2dae445e381a25265502f290917180c", "fast"),
+    ("--format json group 4 1 0 --report transfers",
+     "31205144e31458a11e06676a87f375d2829320ad958052795583166995be7ce1", "fast"),
+    ("--format json group 4 1 1 --report transfers",
+     "0debce7edd0bd49af89a41fb18a149a6d767ce01218426a8f7b0cbaf279903a5", "fast"),
+    ("--format json group 3 3 0 --report subgroups",
+     "0fe00720445d6bd89ef5dacad3163aa089d4b0c3c2a55a13d5dcac14eff6de2b", "fast"),
     # Group reports at order 2^11, and the verification matrix.
     ("--format json group 4 4 1 --report subgroups",
      "7f555147f1640b291070e19d263e0758b608be5960c69010a757b992be1a251b", "fast"),

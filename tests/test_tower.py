@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 import sympy
 
-from quadtower import genus, pgroup, quadforms, tower
+from quadtower import pgroup, quadforms, tower
 from quadtower.arith import is_fundamental
 from quadtower.errors import (
     BoundExceeded,
@@ -41,6 +41,15 @@ def test_classify_type4r():
     cls = classify(-2580)
     assert cls.kind == "Type4r"
     assert cls.primes == (5, 43, 3)
+
+
+def test_classification_witness_records_the_computed_symbols(monkeypatch):
+    # With (-q/q') read as +1 for both orderings, the matcher still takes
+    # -2244, and the witness shows the symbol it recomputed after the swap.
+    real = tower.kronecker
+    monkeypatch.setattr(tower, "kronecker", lambda a, n: 1 if a < 0 else real(a, n))
+    failed = [c for c in classify(-2244).witness if not c.passed]
+    assert [(c.name, c.expected, c.computed) for c in failed] == [("(-11/3)", -1, 1)]
 
 
 def test_classify_other():
@@ -143,7 +152,7 @@ def test_crosscheck_builds_each_class_group_once(monkeypatch):
         built[d] += 1
         return real(d, *args, **kwargs)
 
-    for module in (tower, genus, quadforms):
+    for module in (tower, quadforms):
         monkeypatch.setattr(module, "class_group", counting)
     d, p, q, qp = -329988, 257, 3, 107
     assert tower.crosscheck(d).all_passed
