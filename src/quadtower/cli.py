@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from . import pgroup
@@ -216,24 +217,31 @@ def _write_csv(fh, rows) -> None:
 def cmd_scan(args, config) -> int:
     # The --csv file is opened before the scan, so an unwritable path fails
     # at once instead of after the whole window.  It is opened to append and
-    # emptied only once the rows are in, so a failed scan leaves it as it was.
+    # emptied only once the rows are in, so a failed scan leaves an existing
+    # file as it was and removes one that it created.
+    created = bool(args.csv) and not os.path.lexists(args.csv)
     try:
         fh = open(args.csv, "a", newline="") if args.csv else contextlib.nullcontext()
     except OSError as exc:
         raise InvalidArgument(f"cannot write {args.csv}: {exc.strerror}") from None
-    with fh:
-        reports = scan(args.lo, args.hi, bound=args.bound, workers=args.workers)
-        if args.type:
-            want = "Type4p" if args.type == "4p" else "Type4r"
-            reports = [r for r in reports if r.classification.kind == want]
-        rows = [
-            dict(zip(CSV_COLUMNS, (r.d, r.classification.kind, *r.classification.primes,
-                                   r.n, r.m, r.h2_k, r.h2_minus4p)))
-            for r in reports
-        ]
-        if args.csv:
-            fh.truncate(0)
-            _write_csv(fh, rows)
+    try:
+        with fh:
+            reports = scan(args.lo, args.hi, bound=args.bound, workers=args.workers)
+            if args.type:
+                want = "Type4p" if args.type == "4p" else "Type4r"
+                reports = [r for r in reports if r.classification.kind == want]
+            rows = [
+                dict(zip(CSV_COLUMNS, (r.d, r.classification.kind, *r.classification.primes,
+                                       r.n, r.m, r.h2_k, r.h2_minus4p)))
+                for r in reports
+            ]
+            if args.csv:
+                fh.truncate(0)
+                _write_csv(fh, rows)
+    except BaseException:
+        if created:
+            os.remove(args.csv)
+        raise
     if args.format == "json":
         _emit_json("scan", config, rows, [])
     elif args.format == "csv":

@@ -652,18 +652,56 @@ _TABLE_MAX_ORDER = 256
 
 
 def _cayley_table(g, els):
-    """(points, mul, inv, identity) over the indices of els, with every
-    product and inverse read off a table that g.mul and g.inv fill once; None
-    if the engine makes a product or inverse outside els."""
-    index = {x: i for i, x in enumerate(els)}
-    try:
-        table = [[index[p] for p in map(g.mul, itertools.repeat(x), els)]
-                 for x in els]
-        inverse = [index[g.inv(x)] for x in els]
-    except KeyError:
-        return None
-    return (range(len(els)), lambda i, j: table[i][j], inverse.__getitem__,
-            index[g.identity])
+    """(rows, inverse, identity) over the indices of els: rows[i][j] is the
+    index of els[i] * els[j] and inverse[i] that of els[i]^-1, each filled
+    once by g.mul and g.inv, and identity the index of g.identity.  A product,
+    inverse or identity outside els is None."""
+    index = {x: i for i, x in enumerate(els)}.get
+    rows = [list(map(index, map(g.mul, itertools.repeat(x), els))) for x in els]
+    return rows, list(map(index, map(g.inv, els))), index(g.identity)
+
+
+def _associativity_table_sample(rng, t, count: int) -> bool:
+    """_associativity_sample over the rows t of a Cayley table: the same
+    triples, each product one lookup."""
+    draw = iter(rng.choices(range(len(t)), k=3 * count))
+    for x, y, z in zip(draw, draw, draw):
+        if t[t[x][y]][z] != t[x][t[y][z]]:
+            return False
+    return True
+
+
+def _witt_table_sample(rng, t, inv, ident, count: int) -> bool:
+    """_witt_sample over the rows t and inverse list inv of a Cayley table:
+    the same triples and the same products in the same order, with comm(u, v)
+    written out as t[t[inv[u]][inv[v]]][t[u][v]] and conj(u, v) as
+    t[t[inv[v]][u]][v]."""
+    draw = iter(rng.choices(range(len(t)), k=3 * count))
+    for x, y, z in zip(draw, draw, draw):
+        ix, iy, iz = inv[x], inv[y], inv[z]
+        # t1 = conj(comm(comm(x, y^-1), z), y), and t2, t3 cyclically.
+        u = t[t[ix][inv[iy]]][t[x][iy]]
+        u = t[t[inv[u]][iz]][t[u][z]]
+        t1 = t[t[iy][u]][y]
+        u = t[t[iy][inv[iz]]][t[y][iz]]
+        u = t[t[inv[u]][ix]][t[u][x]]
+        t2 = t[t[iz][u]][z]
+        u = t[t[iz][inv[ix]]][t[z][ix]]
+        u = t[t[inv[u]][iy]][t[u][y]]
+        t3 = t[t[ix][u]][x]
+        if t[t[t1][t2]][t3] != ident:
+            return False
+        # The Witt word comm(comm(x, y), z) comm(comm(y, z), x) comm(comm(z, x), y).
+        u = t[t[ix][iy]][t[x][y]]
+        u = t[t[inv[u]][iz]][t[u][z]]
+        v = t[t[iy][iz]][t[y][z]]
+        v = t[t[inv[v]][ix]][t[v][x]]
+        w = t[u][v]
+        u = t[t[iz][ix]][t[z][x]]
+        u = t[t[inv[u]][iy]][t[u][y]]
+        if t[w][u] != ident:
+            return False
+    return True
 
 
 def _associativity_sample(rng, points, mul, count: int) -> bool:
@@ -701,19 +739,22 @@ def _witt_sample(rng, points, mul, inv, ident, count: int) -> bool:
 
 def verify_presentation(g, seed: int = 0) -> dict:
     """Independent checks that the collection engine realizes the intended
-    presentation: element count, identity, inverses, relations, sampled
-    associativity, the standard commutator identities on the generators,
-    sampled Hall-Witt identities and generation, reported in that order.
-    Returns a report dict; never raises.
+    presentation: element count, identity, inverses, relations, closure
+    (groups of order up to 256), sampled associativity, the standard
+    commutator identities on the generators, sampled Hall-Witt identities and
+    generation, reported in that order.  Returns a report dict; never raises.
 
     The two sampled checks draw 10^4 associativity triples of 4 products
     each and 2000 Hall-Witt triples of 46 products each, 132,000 products in
     all.  For a group of order up to 256, whose Cayley table has fewer
-    entries than that, they run on indices into a table filled once by g.mul
-    and g.inv, so it holds exactly the engine's products; for a larger group
-    they run on g.mul.  Each check draws all its triples with one
-    rng.choices call, over indices on the table path and over g.elements()
-    on the direct path, so a seed samples the same triples on both.
+    entries than that, g.mul and g.inv fill the table once; a product,
+    inverse or identity outside g.elements() fails "closure", and otherwise
+    the samples read the table's index rows, so they see exactly the
+    engine's products with no call per product.  A larger group, or one that
+    fails closure, is sampled through g.mul.  Each check draws all its
+    triples with one rng.choices call, over indices on the table path and
+    over g.elements() on the direct path, so a seed samples the same triples
+    on both.
     """
     report = {"order": None, "failures": [], "seed": seed}
     mul, inv, comm, gpow = g.mul, g.inv, g.comm, g.pow
@@ -752,11 +793,21 @@ def verify_presentation(g, seed: int = 0) -> dict:
         check("rel-c23", c23 == ident)
         check("rel-cijsq", gpow(c12, 2) == ident and gpow(c13, 2) == ident)
 
-    domain = _cayley_table(g, els) if len(els) <= _TABLE_MAX_ORDER else None
-    points, smul, sinv, sident = domain or (els, mul, inv, ident)
+    table = _cayley_table(g, els) if len(els) <= _TABLE_MAX_ORDER else None
+    if table is not None:
+        rows, tinv, tident = table
+        closed = tident is not None and None not in tinv and not any(
+            None in row for row in rows)
+        check("closure", closed)
+        if not closed:
+            table = None
     rng = random.Random(seed)
-    check("associativity-sample",
-          _associativity_sample(rng, points, smul, _ASSOC_SAMPLES))
+    if table is None:
+        check("associativity-sample",
+              _associativity_sample(rng, els, mul, _ASSOC_SAMPLES))
+    else:
+        check("associativity-sample",
+              _associativity_table_sample(rng, rows, _ASSOC_SAMPLES))
 
     # Commutator identities on generators (metabelian form).
     gens = [a1, a2, a3]
@@ -775,8 +826,12 @@ def verify_presentation(g, seed: int = 0) -> dict:
             ok_gen = False
     check("product-commutator-identities", ok_gen)
 
-    check("witt-identities",
-          _witt_sample(rng, points, smul, sinv, sident, _WITT_SAMPLES))
+    if table is None:
+        check("witt-identities",
+              _witt_sample(rng, els, mul, inv, ident, _WITT_SAMPLES))
+    else:
+        check("witt-identities",
+              _witt_table_sample(rng, rows, tinv, tident, _WITT_SAMPLES))
 
     check("generation", subgroup(g, gens).order == g.order)
     report["ok"] = not report["failures"]

@@ -8,11 +8,14 @@ separating the two order-64 quotients at m = 3 (they are isomorphic).
 
 import hashlib
 import json
+import random
+import types
 
 import pytest
 
 from quadtower import pgroup, verify
 from quadtower.arith import is_fundamental
+from quadtower.quadforms import QuadForm
 from quadtower.pgroup import (
     distinguish,
     gamma,
@@ -137,6 +140,95 @@ def test_criterion_oracles_builds_each_class_group_once(monkeypatch):
     assert result.passed
     fundamental = [d for d in range(-3, -801, -1) if is_fundamental(d)]
     assert sorted(built) == sorted(fundamental + [-2244, -2580, -5412, 204, 561])
+
+
+# sha256 of the JSON of [checks, draws] for the bench-size call
+# criterion_oracles(grid=1, disc_limit=800, character_limit=300, seed=s):
+# every check as [name, computed, passed], then every value that rng.choice
+# (the associativity triples of the class groups) and rng.choices (the
+# presentation samples) returned, in call order.  Taken with the per-product
+# compose and g.mul loops, before the checks read index tables.
+ORACLE_BENCH_SHA256 = {
+    0: "8c6a6e1eff9df6cc0c6336b2857f91488c6fd027703a092b9f332e3c1fde4e64",
+    1: "b09fa72fcae4812542f2cc5eca636cd1e058139153e4f7005b9c14ea8491d16b",
+    2: "8af368d12629577745b855b81703ecf83fb71a938f97b60377ffbfa62d559aa5",
+    3: "864e0edea80ae11d64ca59d9d74be66054a8b554d080b2a0f921d9a0ee9fd845",
+    4: "59abdafdc7914ac36fe48ce8cfac002557a1c64626d2c5f460f2dd637bc315ed",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_BENCH_SHA256))
+def test_criterion_oracles_bench_call_draws_pinned(monkeypatch, seed):
+    draws = []
+
+    class Recording(random.Random):
+        def choice(self, seq):
+            draws.append(super().choice(seq))
+            return draws[-1]
+
+        def choices(self, population, weights=None, *, cum_weights=None, k=1):
+            draws.append(super().choices(population, weights, cum_weights=cum_weights, k=k))
+            return draws[-1]
+
+    for module in (pgroup, verify):
+        monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=Recording))
+    result = criterion_oracles(grid=1, disc_limit=800, character_limit=300, seed=seed)
+    assert [c.name for c in result.checks] == [
+        "presentation-4r(2)", "presentation-4r(3)", "presentation-4r(4)",
+        "composition-group-axioms", "genus-character-product",
+    ]
+    assert result.passed
+    checks = [[c.name, c.computed, c.passed] for c in result.checks]
+    digest = hashlib.sha256(json.dumps([checks, draws]).encode()).hexdigest()
+    assert digest == ORACLE_BENCH_SHA256[seed]
+
+
+def _axiom_failures(monkeypatch, name, fault):
+    """The composition-group-axioms failures at disc_limit=300 with
+    verify.<name> replaced by fault(real, f, arg)."""
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda f, arg: fault(real, f, arg))
+    result = criterion_oracles(grid=1, disc_limit=300, character_limit=100)
+    (check,) = [c for c in result.checks if c.name == "composition-group-axioms"]
+    assert not check.passed and [c.name for c in result.failures] == [check.name]
+    return check.computed
+
+
+def test_criterion_oracles_sees_a_row_product_outside_the_classes(monkeypatch):
+    # The last product of the last class's row becomes an unreduced form.
+    def leak(real, f, forms):
+        row = real(f, forms)
+        if len(forms) > 1 and f == forms[-1]:
+            a, b, c = row[-1]
+            row[-1] = QuadForm(a, b + 2 * a, a + b + c)
+        return row
+
+    failures = _axiom_failures(monkeypatch, "compose_row", leak)
+    assert failures[0] == "-15: not closed at QuadForm(a=2, b=1, c=2)*QuadForm(a=2, b=1, c=2)"
+    assert all(" not closed at " in x for x in failures)
+
+
+def test_criterion_oracles_sees_a_row_product_in_the_wrong_class(monkeypatch):
+    # Every row but the principal one is rotated by one place: each product
+    # is still a class, but the table is no longer a group law.
+    def rotate(real, f, forms):
+        row = real(f, forms)
+        return row if f == forms[0] else row[1:] + row[:1]
+
+    # At -15 (h = 2) the rotated table x*y = y is still associative.
+    failures = _axiom_failures(monkeypatch, "compose_row", rotate)
+    assert failures[0] == "-23: associativity fails"
+    assert all(x.endswith(": associativity fails") for x in failures)
+
+
+def test_criterion_oracles_sees_a_corrupted_compose(monkeypatch):
+    # compose returns its left factor unless that is principal: no class
+    # but the principal one has an inverse.
+    failures = _axiom_failures(
+        monkeypatch, "compose", lambda real, f, g: real(f, g) if f.a == 1 else f
+    )
+    assert failures[0] == "-15: QuadForm(a=2, b=1, c=2) has no inverse"
+    assert all(x.endswith(" has no inverse") for x in failures)
 
 
 @pytest.mark.xfail(

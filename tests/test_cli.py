@@ -205,6 +205,17 @@ def test_scan_unwritable_csv_exit1(capsys, monkeypatch, tmp_path):
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+def test_scan_failure_removes_the_csv_file_it_created(capsys, tmp_path):
+    # A failed scan leaves no empty file at a --csv path that did not exist;
+    # an existing file stays as it was (test_scan_unwritable_csv_exit1).
+    path = tmp_path / "new.csv"
+    code, out, err = run(capsys, "scan", "-20000001", "-19999000", "--csv", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not path.exists()
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command-line usage", 1)[1].split("```", 2)[1]

@@ -2,9 +2,15 @@
 
 import pytest
 
-from quadtower.arith import PrimeDiscriminant, is_prime, kronecker, prime_discriminants
+from quadtower.arith import (
+    PrimeDiscriminant,
+    is_fundamental,
+    is_prime,
+    kronecker,
+    prime_discriminants,
+)
 from quadtower.errors import BoundExceeded, DiscriminantMismatch, PreconditionViolated
-from quadtower.genus import chi_eval, lemma1_check, square_2torsion
+from quadtower.genus import characters, chi_eval, lemma1_check, square_2torsion
 from quadtower.quadforms import (
     QuadForm,
     class_group,
@@ -55,6 +61,19 @@ def test_chi_product_is_one_on_every_class():
             for d_i in prime_discriminants(d):
                 prod *= chi_eval(d, d_i, c)
             assert prod == 1, (d, c)
+
+
+def test_characters_match_chi_eval_on_the_survey():
+    # Every class of every discriminant of criterion 10's genus survey.
+    survey = [d for d in range(-3, -2001, -1) if is_fundamental(d)]
+    survey += [-2244, -2580, -5412, 204, 561]
+    for d in survey:
+        d_is = prime_discriminants(d)
+        for c in class_group(d).classes:
+            chars = characters(d, c)
+            assert set(chars) == d_is, (d, c)
+            for d_i in d_is:
+                assert chars[d_i] == chi_eval(d, d_i, c), (d, d_i, c)
 
 
 def test_chi_errors():

@@ -393,29 +393,64 @@ def test_verify_presentation_table_and_engine_paths_agree(monkeypatch):
     assert table["failures"] == engine["failures"] == ["associativity-sample"]
 
 
+def test_verify_presentation_reports_a_product_outside_the_elements():
+    # One product of Gamma4r(4) (order 256, table path) leaves the group.
+    # The sampled checks see it on some seeds only; "closure" reads the
+    # whole table, so every seed fails, and the samples then run on g.mul.
+    params = GroupParams(4, 1, 1, "Gamma4r")
+    els = gamma4r(4).elements()
+    x0, y0 = els[100], els[200]
+
+    class Leaky(PGroup):
+        def mul(self, x, y):
+            if x == x0 and y == y0:
+                return (2, 0, 0, 0, 0)
+            return super().mul(x, y)
+
+    for seed in range(5):
+        report = verify_presentation(Leaky(params), seed=seed)
+        assert report["failures"][0] == "closure", seed
+        assert not report["ok"]
+    assert verify_presentation(Leaky(params), seed=3)["failures"] == ["closure"]
+
+
 def test_sampled_checks_draw_the_same_triples_on_both_paths():
     # One seed feeds the same products, in the same order, to the check
     # body over element tuples and over Cayley-table indices.
     g = gamma4r(3)
     els = g.elements()
-    points, tmul, tinv, tident = pgroup._cayley_table(g, els)
+    rows, tinv, tident = pgroup._cayley_table(g, els)
     assert els[tident] == g.identity
 
-    def recorder(mul, name):
-        calls = []
+    direct_calls = []
 
-        def recording(x, y):
-            calls.append((name(x), name(y)))
-            return mul(x, y)
+    def direct_mul(x, y):
+        direct_calls.append((x, y))
+        return g.mul(x, y)
 
-        return calls, recording
+    # The table samplers make each product as t[i][j]: rows that record
+    # every such lookup see the same products the direct body passes to mul.
+    table_calls = []
 
-    direct_calls, direct_mul = recorder(g.mul, lambda x: x)
-    table_calls, table_mul = recorder(tmul, els.__getitem__)
+    class Row:
+        def __init__(self, i):
+            self.i = i
+
+        def __getitem__(self, j):
+            table_calls.append((els[self.i], els[j]))
+            return rows[self.i][j]
+
+    class Rows:
+        def __len__(self):
+            return len(rows)
+
+        def __getitem__(self, i):
+            return Row(i)
+
     assert pgroup._associativity_sample(random.Random(5), els, direct_mul, 40)
-    assert pgroup._associativity_sample(random.Random(5), points, table_mul, 40)
+    assert pgroup._associativity_table_sample(random.Random(5), Rows(), 40)
     assert pgroup._witt_sample(random.Random(5), els, direct_mul, g.inv, g.identity, 40)
-    assert pgroup._witt_sample(random.Random(5), points, table_mul, tinv, tident, 40)
+    assert pgroup._witt_table_sample(random.Random(5), Rows(), tinv, tident, 40)
     assert len(direct_calls) == 40 * (4 + 46)
     assert direct_calls == table_calls
 
