@@ -240,7 +240,8 @@ def cmd_scan(args, config) -> int:
                 _write_csv(fh, rows)
     except BaseException:
         if created:
-            os.remove(args.csv)
+            with contextlib.suppress(OSError):
+                os.remove(args.csv)
         raise
     if args.format == "json":
         _emit_json("scan", config, rows, [])

@@ -53,26 +53,27 @@ def _coprime_positive_value(f: QuadForm, modulus: int) -> int:
     )
 
 
-def characters(d: int, f: QuadForm) -> dict[PrimeDiscriminant, int]:
-    """Every genus character chi_{d_i} on the class of f, keyed by the prime
-    discriminants d_i of d.
+def chi_eval(d: int, d_i: PrimeDiscriminant, f: QuadForm) -> int:
+    """Genus character chi_{d_i} evaluated on the class of f.
 
-    Each is kronecker(d_i, v) for one represented value v > 0 coprime to d;
+    Returns kronecker(d_i, v) for a represented value v > 0 coprime to d;
     the result does not depend on the choice of v.
     """
     if f.disc != d:
         raise DiscriminantMismatch(f"form of discriminant {f.disc}, field {d}")
-    d_is = prime_discriminants(d)
+    if d_i not in prime_discriminants(d):
+        raise NotFundamental(f"{d_i.value} is not a prime discriminant of {d}")
     v = _coprime_positive_value(f, d)
-    return {d_i: kronecker(d_i.value, v) for d_i in d_is}
+    return kronecker(d_i.value, v)
 
 
-def chi_eval(d: int, d_i: PrimeDiscriminant, f: QuadForm) -> int:
-    """Genus character chi_{d_i} evaluated on the class of f."""
-    try:
-        return characters(d, f)[d_i]
-    except KeyError:
-        raise NotFundamental(f"{d_i.value} is not a prime discriminant of {d}") from None
+def characters(d: int, f: QuadForm) -> dict[PrimeDiscriminant, int]:
+    """chi_eval(d, d_i, f) for every prime discriminant d_i of d, keyed by
+    d_i, from one value search."""
+    if f.disc != d:
+        raise DiscriminantMismatch(f"form of discriminant {f.disc}, field {d}")
+    v = _coprime_positive_value(f, d)
+    return {d_i: kronecker(d_i.value, v) for d_i in prime_discriminants(d)}
 
 
 def square_2torsion(group: ClassGroup) -> list[QuadForm]:

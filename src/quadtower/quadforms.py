@@ -38,7 +38,6 @@ from .errors import (
     InertPrime,
     InvalidArgument,
     NotFundamental,
-    NotImaginary,
     SquareDiscriminant,
     StructureMismatch,
 )
@@ -274,46 +273,6 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     if d < 0:
         return _reduce_definite(d, a3, b3, c3)
     return reduce_form(QuadForm(a3, b3, c3))
-
-
-def compose_row(f: QuadForm, forms) -> list[QuadForm]:
-    """[compose(f, g) for g in forms], for definite forms.
-
-    The same composition as compose, with f unpacked and its discriminant
-    computed once; each product goes through _reduce_definite.  Raises
-    NotImaginary when f is not definite and DiscriminantMismatch when a g
-    has another discriminant.
-    """
-    a0, b0, c0 = f
-    d = b0 * b0 - 4 * a0 * c0
-    if d >= 0:
-        raise NotImaginary(f"compose_row needs a definite form, got {f}")
-    out = []
-    for g in forms:
-        a2, b2, c2 = g
-        if d != b2 * b2 - 4 * a2 * c2:
-            raise DiscriminantMismatch(f"{d} != {b2 * b2 - 4 * a2 * c2}")
-        if abs(a0) > abs(a2):
-            a1, b1, a2, b2, c2 = a2, b2, a0, b0, c0
-        else:
-            a1, b1 = a0, b0
-        s = (b1 + b2) // 2
-        n = b2 - s
-        e = gcd(a1, a2)
-        y1 = pow(a2 // e, -1, a1 // e)
-        if s % e == 0:
-            x2, y2, d1 = 0, -1, e
-        else:
-            d1 = gcd(s, e)
-            x2 = pow(s // d1, -1, e // d1)
-            y2 = (x2 * s - d1) // e
-        v1 = a1 // d1
-        v2 = a2 // d1
-        r = (y1 * y2 * n - x2 * c2) % v1
-        b3 = b2 + 2 * v2 * r
-        a3 = v1 * v2
-        out.append(_reduce_definite(d, a3, b3, (b3 * b3 - d) // (4 * a3)))
-    return out
 
 
 def form_pow(f: QuadForm, k: int) -> QuadForm:

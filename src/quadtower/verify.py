@@ -43,7 +43,6 @@ from .quadforms import (
     QuadForm,
     class_group,
     compose,
-    compose_row,
     principal_form,
     reduce_form,
 )
@@ -394,11 +393,11 @@ def criterion_oracles(
     genus-character product rule.
 
     For each fundamental d in [-disc_limit, -3] the classes are indexed once
-    and compose_row fills an h x h table of product indices, None marking a
+    and compose fills an h x h table of product indices, None marking a
     product outside the classes.  Closure reads the table; each inverse is
-    one compose call; the 10 drawn associativity triples per d are table
-    lookups when d is closed and compose calls when it is not.  The genus
-    survey takes every character of a class from one characters call.
+    one more compose call; the 10 drawn associativity triples per d are
+    table lookups when d is closed and compose calls when it is not.  The
+    genus survey takes every character of a class from one characters call.
     """
     res = CriterionResult(10, "oracle-suite")
     for n, m in grid_points(grid):
@@ -436,7 +435,7 @@ def criterion_oracles(
             fi = reduce_form(QuadForm(f.a, -f.b, f.c))
             if compose(f, fi) != one:
                 axiom_failures.append(f"{d}: {f} has no inverse")
-            row = [index.get(p) for p in compose_row(f, cls)]
+            row = [index.get(compose(f, h)) for h in cls]
             if None in row:
                 closed = False
                 for h, k in zip(cls, row):

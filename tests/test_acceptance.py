@@ -183,41 +183,47 @@ def test_criterion_oracles_bench_call_draws_pinned(monkeypatch, seed):
     assert digest == ORACLE_BENCH_SHA256[seed]
 
 
-def _axiom_failures(monkeypatch, name, fault):
+def _axiom_failures(monkeypatch, fault):
     """The composition-group-axioms failures at disc_limit=300 with
-    verify.<name> replaced by fault(real, f, arg)."""
-    real = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda f, arg: fault(real, f, arg))
+    verify.compose replaced by fault(real, f, g)."""
+    real = verify.compose
+    monkeypatch.setattr(verify, "compose", lambda f, g: fault(real, f, g))
     result = criterion_oracles(grid=1, disc_limit=300, character_limit=100)
     (check,) = [c for c in result.checks if c.name == "composition-group-axioms"]
     assert not check.passed and [c.name for c in result.failures] == [check.name]
     return check.computed
 
 
-def test_criterion_oracles_sees_a_row_product_outside_the_classes(monkeypatch):
-    # The last product of the last class's row becomes an unreduced form.
-    def leak(real, f, forms):
-        row = real(f, forms)
-        if len(forms) > 1 and f == forms[-1]:
-            a, b, c = row[-1]
-            row[-1] = QuadForm(a, b + 2 * a, a + b + c)
-        return row
+def test_criterion_oracles_sees_a_product_outside_the_classes(monkeypatch):
+    # The square of a class, when it is not principal, becomes an unreduced
+    # form; the inverse check, whose products are principal, is untouched.
+    # On a d that is not closed the drawn triples go through the same
+    # compose, so they can fail too.
+    def leak(real, f, g):
+        p = real(f, g)
+        if f == g and p.a != 1:
+            a, b, c = p
+            return QuadForm(a, b + 2 * a, a + b + c)
+        return p
 
-    failures = _axiom_failures(monkeypatch, "compose_row", leak)
-    assert failures[0] == "-15: not closed at QuadForm(a=2, b=1, c=2)*QuadForm(a=2, b=1, c=2)"
-    assert all(" not closed at " in x for x in failures)
+    failures = _axiom_failures(monkeypatch, leak)
+    assert failures[0] == (
+        "-23: not closed at QuadForm(a=2, b=-1, c=3)*QuadForm(a=2, b=-1, c=3)"
+    )
+    assert all(" not closed at " in x or x.endswith(": associativity fails")
+               for x in failures)
 
 
-def test_criterion_oracles_sees_a_row_product_in_the_wrong_class(monkeypatch):
-    # Every row but the principal one is rotated by one place: each product
-    # is still a class, but the table is no longer a group law.
-    def rotate(real, f, forms):
-        row = real(f, forms)
-        return row if f == forms[0] else row[1:] + row[:1]
+def test_criterion_oracles_sees_a_product_in_the_wrong_class(monkeypatch):
+    # A product that is not principal is composed once more with its right
+    # factor: every product is still a class and every inverse still
+    # principal, but the table is no longer a group law.
+    def skew(real, f, g):
+        p = real(f, g)
+        return p if p.a == 1 else real(p, g)
 
-    # At -15 (h = 2) the rotated table x*y = y is still associative.
-    failures = _axiom_failures(monkeypatch, "compose_row", rotate)
-    assert failures[0] == "-23: associativity fails"
+    failures = _axiom_failures(monkeypatch, skew)
+    assert failures[0] == "-15: associativity fails"
     assert all(x.endswith(": associativity fails") for x in failures)
 
 
@@ -225,7 +231,7 @@ def test_criterion_oracles_sees_a_corrupted_compose(monkeypatch):
     # compose returns its left factor unless that is principal: no class
     # but the principal one has an inverse.
     failures = _axiom_failures(
-        monkeypatch, "compose", lambda real, f, g: real(f, g) if f.a == 1 else f
+        monkeypatch, lambda real, f, g: real(f, g) if f.a == 1 else f
     )
     assert failures[0] == "-15: QuadForm(a=2, b=1, c=2) has no inverse"
     assert all(x.endswith(" has no inverse") for x in failures)

@@ -205,15 +205,24 @@ def test_scan_unwritable_csv_exit1(capsys, monkeypatch, tmp_path):
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
-def test_scan_failure_removes_the_csv_file_it_created(capsys, tmp_path):
+def test_scan_failure_removes_the_csv_file_it_created(capsys, monkeypatch, tmp_path):
     # A failed scan leaves no empty file at a --csv path that did not exist;
     # an existing file stays as it was (test_scan_unwritable_csv_exit1).
+    argv = ["scan", "-20000001", "-19999000", "--csv"]
     path = tmp_path / "new.csv"
-    code, out, err = run(capsys, "scan", "-20000001", "-19999000", "--csv", str(path))
+    code, out, err = run(capsys, *argv, str(path))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
     assert not path.exists()
+
+    # A file that cannot be removed does not hide the scan's own error.
+    def refuse(name):
+        raise PermissionError(13, "Permission denied", name)
+
+    monkeypatch.setattr(os, "remove", refuse)
+    assert run(capsys, *argv, str(tmp_path / "kept.csv")) == (code, out, err)
+    assert (tmp_path / "kept.csv").exists()
 
 
 def test_readme_command_lines_parse():

@@ -9,7 +9,12 @@ from quadtower.arith import (
     kronecker,
     prime_discriminants,
 )
-from quadtower.errors import BoundExceeded, DiscriminantMismatch, PreconditionViolated
+from quadtower.errors import (
+    BoundExceeded,
+    DiscriminantMismatch,
+    NotFundamental,
+    PreconditionViolated,
+)
 from quadtower.genus import characters, chi_eval, lemma1_check, square_2torsion
 from quadtower.quadforms import (
     QuadForm,
@@ -79,6 +84,13 @@ def test_characters_match_chi_eval_on_the_survey():
 def test_chi_errors():
     with pytest.raises(DiscriminantMismatch):
         chi_eval(-2244, PrimeDiscriminant(-4), principal_form(-68))
+
+
+def test_chi_checks_the_prime_discriminant_before_the_value_search():
+    # -4 is not a prime discriminant of -3, and the form takes no positive
+    # value: the argument error comes first.
+    with pytest.raises(NotFundamental):
+        chi_eval(-3, PrimeDiscriminant(-4), QuadForm(-1, 1, -1))
 
 
 def test_chi_search_is_bounded():

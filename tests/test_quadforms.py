@@ -13,7 +13,6 @@ from quadtower.cli import _jsonable
 from quadtower.errors import (
     DiscriminantMismatch,
     InertPrime,
-    NotImaginary,
     SquareDiscriminant,
     StructureMismatch,
 )
@@ -31,7 +30,6 @@ from quadtower.quadforms import (
     abelian_type_from_powers,
     class_group,
     compose,
-    compose_row,
     form_pow,
     fundamental_unit,
     is_principal,
@@ -481,38 +479,6 @@ def test_compose_group_laws_on_random_discriminants():
             assert fu.disc == d and compose(fu, gu) == compose(f, g), (d, fu, gu)
             assert reduce_form(fu) == f, (d, fu)
         assert moved > 20, d
-
-
-def test_compose_row_matches_compose_on_every_small_discriminant():
-    for d in range(-3, -3001, -1):
-        if not is_fundamental(d):
-            continue
-        classes = class_group(d).classes
-        for f in classes:
-            assert compose_row(f, classes) == [compose(f, g) for g in classes], (d, f)
-
-
-def test_compose_row_matches_compose_near_ten_million():
-    # Rows of sampled classes, and of unreduced forms, on seeded d near -10^7.
-    rng = random.Random(20261019)
-    for _ in range(3):
-        d = -10**7 + rng.randrange(20000)
-        while not is_fundamental(d):
-            d += 1
-        classes = class_group(d).classes
-        for f in rng.sample(classes, 8):
-            assert compose_row(f, classes) == [compose(f, g) for g in classes], (d, f)
-        fu = _random_unreduced(rng, rng.choice(classes))
-        forms = [_random_unreduced(rng, g) for g in rng.sample(classes, 50)]
-        assert compose_row(fu, forms) == [compose(fu, g) for g in forms], (d, fu)
-
-
-def test_compose_row_errors():
-    with pytest.raises(DiscriminantMismatch):
-        compose_row(principal_form(-4), [principal_form(-4), principal_form(-8)])
-    with pytest.raises(NotImaginary):
-        compose_row(principal_form(5), [principal_form(5)])
-    assert compose_row(principal_form(-4), []) == []
 
 
 def test_quadform_tuple_contract():
