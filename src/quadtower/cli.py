@@ -85,10 +85,6 @@ def _print_checks_text(checks) -> None:
         print(f"  [{mark}] {c.name}: expected {c.expected}, computed {c.computed}")
 
 
-def _checks_exit(checks) -> int:
-    return 0 if all(c.passed for c in checks) else 2
-
-
 def cmd_classify(args, config) -> int:
     cls = classify(args.d)
     if args.format == "json":
@@ -120,7 +116,7 @@ def cmd_predict(args, config) -> int:
             f"(h2(k)={report.h2_k}, h2(-4p)={report.h2_minus4p})"
         )
         _print_checks_text(report.checks)
-    return _checks_exit(report.checks)
+    return 0 if report.all_passed else 2
 
 
 def cmd_crosscheck(args, config) -> int:
@@ -130,7 +126,7 @@ def cmd_crosscheck(args, config) -> int:
     else:
         print(f"{args.d}: n={report.n} m={report.m}")
         _print_checks_text(report.checks)
-    return _checks_exit(report.checks)
+    return 0 if report.all_passed else 2
 
 
 def _group_report(top, kind: str):
@@ -140,17 +136,17 @@ def _group_report(top, kind: str):
     if kind == "subgroups":
         return [
             {"abelianization": pgroup.abelianization(sub), "normal": normal}
-            for sub, normal in pgroup.subgroups_of_index4(g, top)
+            for sub, normal in pgroup.subgroups_of_index4(g, pgroup.maximal_subgroups(top))
         ]
     if kind == "transfers":
-        subs, phi = pgroup.standard_maximal_subgroups(g, top)
+        subs, phi = pgroup.standard_maximal_subgroups(top)
         kernels = pgroup.transfer_kernel(top, subs)
         out = {f"ker_t{j}_order": order for j, (order, _) in enumerate(kernels, start=1)}
         h2, inter = pgroup.capitulation_subgroups(subs, phi)
         ((order, _),) = pgroup.transfer_kernel(h2, [inter])
         out["ker_H2_to_H1capH2_order"] = order
         return out
-    return [term.order for term in pgroup.lower_central_series(g, top)]
+    return [term.order for term in pgroup.lower_central_series(top)]
 
 
 def cmd_group(args, config) -> int:

@@ -348,12 +348,13 @@ def centre(group) -> Subgroup:
     return subgroup(group, cen)
 
 
-def lower_central_series(group, top: Subgroup | None = None) -> list[Subgroup]:
-    """G_1 >= G_2 >= ... down to the trivial subgroup; G_(i+1) = [G_i, G] is
-    the normal closure of the commutators of generators of G_i and G.  G_1
-    is `top`, the whole group as a Subgroup, when the caller has built it."""
-    gens = group.gens()
-    series = [whole_group(group) if top is None else top]
+def lower_central_series(h: Subgroup) -> list[Subgroup]:
+    """h = G_1 >= G_2 >= ... down to the trivial subgroup; G_(i+1) = [G_i, h]
+    is the normal closure in h of the commutators of generators of G_i and
+    h.  For the whole group, h is whole_group(g)."""
+    group = h.group
+    gens = h.generators
+    series = [h]
     while True:
         cur = series[-1]
         comms = [group.comm(x, g) for x in cur.generators for g in gens]
@@ -365,33 +366,24 @@ def lower_central_series(group, top: Subgroup | None = None) -> list[Subgroup]:
             raise StructureMismatch("lower central series does not terminate")
 
 
-def abelian_type_of(h: Subgroup, modulo: Subgroup | None = None) -> AbelianType:
-    """Invariant factors of h/modulo, after checking that modulo is normal in
-    h and h/modulo abelian (see _abelian_type)."""
+def abelian_type_of(h: Subgroup) -> AbelianType:
+    """Invariant factors of h, after checking that h is abelian: that its
+    generators commute.  The invariants of h/h' are abelianization(h)."""
     g = h.group
-    if modulo is None:
-        modulo = subgroup(g, ())
-    nset = modulo.elements
-    if not nset <= h.elements:
-        raise NotNormal("modulo is not contained in the subgroup")
-    if not _normalizes(g, h.generators, modulo):
-        raise NotNormal("modulo is not normal in the subgroup")
-    # With modulo normal in h, h/modulo is abelian iff h's generators commute
-    # modulo it.
     for x, y in itertools.combinations(h.generators, 2):
-        if g.comm(x, y) not in nset:
-            raise NonAbelianQuotient("quotient is not abelian")
-    return _abelian_type(h, modulo)
+        if g.comm(x, y) != g.identity:
+            raise NonAbelianQuotient("subgroup is not abelian")
+    return _abelian_type(h, subgroup(g, ()))
 
 
-def _abelian_type(h: Subgroup, modulo: Subgroup) -> AbelianType:
-    """Invariant factors of h/modulo, for modulo normal in h with h/modulo
-    abelian, from the spans <modulo, x^(2^j)> of powers of h's generators x
+def _abelian_type(h: Subgroup, N: Subgroup) -> AbelianType:
+    """Invariant factors of h/N, for N normal in h with h/N abelian, from
+    the spans <N, x^(2^j)> of powers of h's generators x
     (abelian_type_from_powers)."""
     g = h.group
     return abelian_type_from_powers(
-        h.order // modulo.order, h.generators,
-        lambda x: g.mul(x, x), lambda xs: _span_over(modulo, xs),
+        h.order // N.order, h.generators,
+        lambda x: g.mul(x, x), lambda xs: _span_over(N, xs),
     )
 
 
@@ -484,14 +476,13 @@ def maximal_subgroups(h: Subgroup) -> list[Subgroup]:
 _STANDARD_CHARACTERS = (4, 1, 5, 2, 3, 6, 7)
 
 
-def standard_maximal_subgroups(
-    g: PGroup, top: Subgroup | None = None
-) -> tuple[list[Subgroup], Subgroup]:
+def standard_maximal_subgroups(G: Subgroup) -> tuple[list[Subgroup], Subgroup]:
     """The seven maximal subgroups H_1..H_7 in the standard labeling, and
     the Phi(G) they were read over, which fixes the genus field: one
-    labelling pass over G, whose Burnside basis must be (a1, a2, a3).  G is
-    `top`, the whole group as a Subgroup, when the caller has built it."""
-    phi, basis, labelled = _frattini_labelling(whole_group(g) if top is None else top)
+    labelling pass over G, the whole group as a Subgroup (whole_group(g)),
+    whose Burnside basis must be (a1, a2, a3)."""
+    g = G.group
+    phi, basis, labelled = _frattini_labelling(G)
     if basis != [g.a1, g.a2, g.a3]:
         raise RankMismatch("Burnside basis of the group is not (a1, a2, a3)")
     subs = [_hyperplane_preimage(phi, basis, labelled, w) for w in _STANDARD_CHARACTERS]
@@ -505,15 +496,10 @@ def capitulation_subgroups(subs: list[Subgroup], phi: Subgroup) -> tuple[Subgrou
     return subs[1], _extend(phi, phi.group.a2)
 
 
-def subgroups_of_index4(group, top: Subgroup | None = None) -> list[tuple[Subgroup, bool]]:
-    """All index-4 subgroups with a normality flag, via maximal subgroups of
-    maximal subgroups.  The group is `top`, the whole group as a Subgroup,
-    when the caller has built it."""
-    return _index4(group, maximal_subgroups(whole_group(group) if top is None else top))
-
-
-def _index4(group, maximals) -> list[tuple[Subgroup, bool]]:
-    """subgroups_of_index4 from the group's maximal subgroups."""
+def subgroups_of_index4(group, maximals) -> list[tuple[Subgroup, bool]]:
+    """All index-4 subgroups of the group, each with a flag for whether it
+    is normal, as the maximal subgroups of its maximal subgroups `maximals`;
+    none when there are none (the trivial group)."""
     gens = group.gens()
     seen = {}
     for mx in maximals:
@@ -610,7 +596,6 @@ def _element_orders(group) -> dict:
 
 def fingerprint(group) -> Fingerprint:
     top = whole_group(group)
-    der = top.derived
     hist: dict[int, int] = {}
     for o in _element_orders(group).values():
         hist[o] = hist.get(o, 0) + 1
@@ -618,15 +603,15 @@ def fingerprint(group) -> Fingerprint:
     idx2 = sorted(abelianization(mx).parts for mx in maximals)
     idx4 = sorted(
         (abelianization(sub).parts, normal)
-        for sub, normal in _index4(group, maximals)
+        for sub, normal in subgroups_of_index4(group, maximals)
     )
     return Fingerprint(
         order=top.order,
-        abelianization=_abelian_type(top, der),
-        derived_type=abelian_type_of(der),
+        abelianization=abelianization(top),
+        derived_type=abelian_type_of(top.derived),
         exponent=max(hist),
         center_order=centre(group).order,
-        lcs_orders=tuple(t.order for t in lower_central_series(group, top)),
+        lcs_orders=tuple(t.order for t in lower_central_series(top)),
         sub_index2=tuple(map(tuple, idx2)),
         sub_index4=tuple(idx4),
         elt_order_histogram=tuple(sorted(hist.items())),

@@ -276,20 +276,12 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
 
 
 def form_pow(f: QuadForm, k: int) -> QuadForm:
-    """A reduced representative of the class of f^k, by binary powering.
-
-    A reduced definite f is used as it is, so f^1 is f itself; any other
-    form is reduced once.  k may be negative or zero.
-    """
+    """The reduced form of the class of f^k, for a reduced definite form f
+    and k >= 1, by binary powering; f^1 is f itself.  Any other f or k
+    raises InvalidArgument."""
     a, b, c = f
-    d = b * b - 4 * a * c
-    if not (d < 0 and -a < b <= a <= c and (b >= 0 or a != c)):
-        f = reduce_form(f)
-    if k < 0:
-        f = reduce_form(QuadForm(f.a, -f.b, f.c))
-        k = -k
-    if k == 0:
-        return reduce_form(principal_form(d))
+    if k < 1 or not (b * b < 4 * a * c and -a < b <= a <= c and (b >= 0 or a != c)):
+        raise InvalidArgument(f"form_pow needs a reduced definite form and k >= 1, not {f}, {k}")
     result = None
     while True:
         if k & 1:
@@ -567,6 +559,8 @@ def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:
     """Full class group (negative d) or narrow cycle representatives (positive d)."""
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not a fundamental discriminant")
+    if _is_square(d):
+        raise SquareDiscriminant(f"discriminant {d} is a square")
     if abs(d) > bound:
         raise BoundExceeded(f"|{d}| exceeds enumeration bound {bound}")
     if d < 0:
@@ -586,12 +580,7 @@ def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:
 
 def two_part(g: ClassGroup) -> tuple[int, AbelianType | None]:
     """(2-part of h, invariant factors of the 2-Sylow for negative disc)."""
-    h2 = 1
-    hh = g.h
-    while hh % 2 == 0:
-        hh //= 2
-        h2 *= 2
-    return h2, g.abelian_type
+    return g.h & -g.h, g.abelian_type
 
 
 def prime_form(d: int, ell: int) -> QuadForm:
@@ -626,6 +615,8 @@ def is_principal(d: int, f: QuadForm, narrow: bool = True) -> bool:
 def fundamental_unit(d: int) -> Unit:
     """Minimal unit > 1 of discriminant d as a solution of x^2 - d y^2 = +-4,
     computed from the automorph matrix of the principal cycle."""
+    if d < 0:
+        raise InvalidArgument(f"fundamental_unit needs a positive discriminant, not {d}")
     p = reduce_form(principal_form(d))
     # Accumulate the rho-step matrices [[0, -1], [1, s]], s = (b + b') / (2c).
     m11, m12, m21, m22 = 1, 0, 0, 1
@@ -651,6 +642,8 @@ def fundamental_unit(d: int) -> Unit:
 
 def wide_h2(d: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
     """2-part of the ordinary (wide) class number of a real quadratic field."""
+    if d < 0:
+        raise InvalidArgument(f"wide_h2 needs a positive discriminant, not {d}")
     g = class_group(d, bound)
     h2, _ = two_part(g)
     if fundamental_unit(d).norm == 1:

@@ -23,11 +23,11 @@ from .pgroup import (
     abelianization,
     capitulation_subgroups,
     cosets,
-    derived_subgroup,
     distinguish,
     gamma,
     gamma4r,
     lower_central_series,
+    maximal_subgroups,
     quotient_group,
     standard_maximal_subgroups,
     subgroup,
@@ -50,6 +50,7 @@ from .tower import (
     Check,
     classify,
     corollary2_closed_forms,
+    corollary2_engine,
     crosscheck,
     invariants,
     scan,
@@ -95,14 +96,13 @@ def criterion_realization(grid: int | None = None) -> CriterionResult:
         for eps in (0, 1):
             g = gamma(n, m, eps)
             top = whole_group(g)
-            der = derived_subgroup(top)
             tag = f"({n},{m},{eps})"
             res.checks.append(Check(f"order{tag}", 1 << (n + m + 3), g.order))
-            res.checks.append(Check(
-                f"abelianization{tag}", AbelianType.of(1 << n, 2, 2), abelian_type_of(top, der)
-            ))
             res.checks.append(
-                Check(f"derived{tag}", AbelianType.of(1 << m, 2), abelian_type_of(der))
+                Check(f"abelianization{tag}", AbelianType.of(1 << n, 2, 2), abelianization(top))
+            )
+            res.checks.append(
+                Check(f"derived{tag}", AbelianType.of(1 << m, 2), abelian_type_of(top.derived))
             )
     return res
 
@@ -113,7 +113,7 @@ def criterion_lower_central(grid: int | None = None) -> CriterionResult:
     for n, m in grid_points(grid):
         for eps in (0, 1):
             g = gamma(n, m, eps)
-            series = lower_central_series(g)
+            series = lower_central_series(whole_group(g))
             tag = f"({n},{m},{eps})"
             for j, term in enumerate(series, start=1):
                 if j < 3:
@@ -178,7 +178,7 @@ def criterion_tables() -> CriterionResult:
             g = gamma(n, m, eps)
             tag = f"({n},{m},{eps})"
             top = whole_group(g)
-            subs, _ = standard_maximal_subgroups(g, top)
+            subs, _ = standard_maximal_subgroups(top)
             gprime = top.derived
             hprimes = [sub.derived.elements for sub in subs]
             for j, (hprime, dgens) in enumerate(
@@ -211,7 +211,8 @@ def criterion_capitulation(grid: int | None = None) -> CriterionResult:
     res = CriterionResult(4, "capitulation-kernel")
     for n, m in grid_points(grid):
         for eps in (0, 1):
-            h2, inter = capitulation_subgroups(*standard_maximal_subgroups(gamma(n, m, eps)))
+            top = whole_group(gamma(n, m, eps))
+            h2, inter = capitulation_subgroups(*standard_maximal_subgroups(top))
             ((order, _),) = transfer_kernel(h2, [inter])
             res.checks.append(
                 Check(f"kernel-order({n},{m},{eps})", 8 if eps == 0 else 4, order)
@@ -221,8 +222,6 @@ def criterion_capitulation(grid: int | None = None) -> CriterionResult:
 
 def criterion_intermediate_fields(grid: int | None = None) -> CriterionResult:
     """Closed-form intermediate 2-class groups vs engine abelianizations."""
-    from .tower import corollary2_engine
-
     res = CriterionResult(5, "intermediate-fields")
     for n, m in grid_points(grid):
         closed = corollary2_closed_forms(n, m)
@@ -243,7 +242,7 @@ _SEPARATION_EPS1 = sorted(
 
 def _nonnormal_index4_multiset(g: PGroup) -> list[tuple[int, ...]]:
     out = []
-    for sub, normal in subgroups_of_index4(g):
+    for sub, normal in subgroups_of_index4(g, maximal_subgroups(whole_group(g))):
         if not normal:
             out.append(abelianization(sub).parts)
     return sorted(out)
@@ -269,7 +268,7 @@ def criterion_separation() -> CriterionResult:
         quotients = []
         for eps in (0, 1):
             g = gamma(1, m, eps)
-            series = lower_central_series(g)
+            series = lower_central_series(whole_group(g))
             g4 = series[3] if len(series) > 3 else subgroup(g, [])
             q = quotient_group(g, g4)
             res.checks.append(Check(f"quotient-order(1,{m},{eps})", 64, q.order))
@@ -298,7 +297,7 @@ def criterion_real_family() -> CriterionResult:
     for n in range(2, 6):
         g = gamma(n, 1, 0)
         top = whole_group(g)
-        subs, _ = standard_maximal_subgroups(g, top)
+        subs, _ = standard_maximal_subgroups(top)
         ((order, _),) = transfer_kernel(top, [subs[5]])
         res.checks.append(Check(f"kernel-order(n={n})", 8, order))
     return res

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -74,7 +76,8 @@ def _element_order(group, x) -> int:
 def _reference_abelian_type(h, modulo):
     """Invariant factors of the abelian h/modulo from the number of cosets
     x modulo whose 2^j-th power lies in modulo, squaring one representative
-    of every coset once per level: the reference for abelian_type_of."""
+    of every coset once per level: the reference for abelianization and
+    abelian_type_of."""
     g = h.group
     nset = modulo.elements
     cur = list(cosets(g, h.elements, nset))
@@ -180,7 +183,7 @@ def test_frattini_index_is_8():
 
 def test_lower_central_series_terms():
     g = gamma(2, 3, 0)
-    series = lower_central_series(g)
+    series = lower_central_series(whole_group(g))
     assert series[0].order == g.order
     assert series[1].elements == _reference_closure(g, [g.c12, g.c13])
     assert series[2].elements == _reference_closure(g, [g.pow(g.c13, 2)])
@@ -198,24 +201,25 @@ def test_abelian_type_errors():
 
 
 def test_abelian_check_over_generators_matches_all_pairs():
-    # h/N is abelian iff every pair of elements of h commutes modulo N.
+    # h is abelian iff every pair of elements of h commutes.
+    seen = set()
     for n, m, eps in ((1, 1, 0), (1, 2, 1), (2, 1, 0)):
         g = gamma(n, m, eps)
         whole = whole_group(g)
-        normals = [subgroup(g, [])] + lower_central_series(g)
-        for h in [whole] + maximal_subgroups(whole):
-            for nrm in normals:
-                if not nrm.elements <= h.elements:
-                    continue
-                abelian = all(
-                    g.comm(x, y) in nrm.elements
-                    for x, y in itertools.combinations(sorted(h.elements), 2)
-                )
-                if abelian:
-                    assert abelian_type_of(h, nrm).order == h.order // nrm.order
-                else:
-                    with pytest.raises(NonAbelianQuotient):
-                        abelian_type_of(h, nrm)
+        maximals = maximal_subgroups(whole)
+        index4 = [sub for sub, _ in subgroups_of_index4(g, maximals)]
+        for h in [whole] + maximals + index4 + lower_central_series(whole):
+            abelian = all(
+                g.comm(x, y) == g.identity
+                for x, y in itertools.combinations(sorted(h.elements), 2)
+            )
+            seen.add(abelian)
+            if abelian:
+                assert abelian_type_of(h).order == h.order
+            else:
+                with pytest.raises(NonAbelianQuotient):
+                    abelian_type_of(h)
+    assert seen == {True, False}
 
 
 def _standard_recipes(g):
@@ -241,7 +245,7 @@ def test_standard_subgroups_match_generator_recipes():
     groups = [gamma(n, m, eps) for n in range(1, 6) for m in range(1, 7 - n) for eps in (0, 1)]
     for g in groups:
         maximal, genus, inter = _standard_recipes(g)
-        subs, phi = standard_maximal_subgroups(g)
+        subs, phi = standard_maximal_subgroups(whole_group(g))
         assert [s.elements for s in subs] == [_reference_closure(g, r) for r in maximal]
         assert phi.elements == _reference_closure(g, genus)
         h2, capitulation = capitulation_subgroups(subs, phi)
@@ -251,12 +255,12 @@ def test_standard_subgroups_match_generator_recipes():
     for n in range(2, 6):
         g = gamma(n, 1, 0)
         h6 = _reference_closure(g, [g.mul(g.a2, g.a3), g.a1, g.c12, g.c13])
-        assert standard_maximal_subgroups(g)[0][5].elements == h6
+        assert standard_maximal_subgroups(whole_group(g))[0][5].elements == h6
 
 
 def test_subgroups_of_index4_counts():
     g = gamma(2, 2, 1)
-    subs = subgroups_of_index4(g)
+    subs = subgroups_of_index4(g, maximal_subgroups(whole_group(g)))
     assert all(4 * s.order == g.order for s, _ in subs)
     nonnormal = [s for s, normal in subs if not normal]
     assert len(nonnormal) == 8
@@ -265,7 +269,7 @@ def test_subgroups_of_index4_counts():
 def test_transfer_errors():
     g = gamma(2, 2, 1)
     top = whole_group(g)
-    h = standard_maximal_subgroups(g)[0][0]
+    h = standard_maximal_subgroups(top)[0][0]
     quarter = subgroup(g, [g.a2, g.c12, g.c13])
     with pytest.raises(IndexNotTwo):
         transfer_values(top, quarter, [g.a2])
@@ -276,7 +280,7 @@ def test_transfer_errors():
 def test_transfer_kernel_orders():
     g = gamma(2, 2, 1)
     top = whole_group(g)
-    subs, _ = standard_maximal_subgroups(g)
+    subs, _ = standard_maximal_subgroups(top)
     orders = [order for order, _ in transfer_kernel(top, subs)]
     assert orders == [4, 2, 4, 4, 4, 4, 4]
 
@@ -314,7 +318,7 @@ def test_transfer_kernel_against_definition():
 
 def test_quotient_group():
     g = gamma(1, 2, 0)
-    series = lower_central_series(g)
+    series = lower_central_series(whole_group(g))
     q = quotient_group(g, series[3])
     assert q.order == 64
     der = derived_subgroup(whole_group(g))
@@ -475,7 +479,7 @@ def _small_groups():
     ]
     for eps in (0, 1):
         g = gamma(1, 2, eps)
-        groups.append(quotient_group(g, lower_central_series(g)[3]))
+        groups.append(quotient_group(g, lower_central_series(whole_group(g))[3]))
     return groups + [gamma4r(2)]
 
 
@@ -492,7 +496,7 @@ def _assert_small_generating_set(sub):
 def test_subgroups_against_definitions():
     for g in _small_groups():
         top = whole_group(g)
-        index4 = subgroups_of_index4(g)
+        index4 = subgroups_of_index4(g, maximal_subgroups(top))
         for sub, normal in index4:
             conjugates = {
                 g.mul(g.mul(g.inv(y), x), y) for x in sub.elements for y in top.elements
@@ -508,11 +512,12 @@ def test_subgroups_against_definitions():
         _assert_small_generating_set(phi)
         assert phi.elements == _reference_closure(g, {g.mul(x, x) for x in top.elements})
         _assert_small_generating_set(centre(g))
-        series = lower_central_series(g)
-        for cur, nxt in zip(series, series[1:]):
-            _assert_small_generating_set(nxt)
-            expected = {g.comm(x, y) for x in cur.elements for y in top.elements}
-            assert nxt.elements == _reference_closure(g, expected)
+        for h in [top] + maximal_subgroups(top):
+            series = lower_central_series(h)
+            for cur, nxt in zip(series, series[1:]):
+                _assert_small_generating_set(nxt)
+                expected = {g.comm(x, y) for x in cur.elements for y in h.elements}
+                assert nxt.elements == _reference_closure(g, expected)
 
 
 def test_named_subgroups_are_spans_of_their_generators():
@@ -521,7 +526,7 @@ def test_named_subgroups_are_spans_of_their_generators():
     # these are the paper's named subgroups and plain spans of two elements.
     for g in _small_groups():
         if isinstance(g, PGroup):
-            subs, phi = standard_maximal_subgroups(g)
+            subs, phi = standard_maximal_subgroups(whole_group(g))
             for sub in subs + [phi, capitulation_subgroups(subs, phi)[1]]:
                 _assert_small_generating_set(sub)
                 _assert_small_generating_set(derived_subgroup(sub))
@@ -532,9 +537,9 @@ def test_named_subgroups_are_spans_of_their_generators():
 def test_cosets_partition_into_equal_disjoint_cosets():
     for g in _small_groups():
         top = whole_group(g)
-        for sub, _ in subgroups_of_index4(g):
+        for sub, _ in subgroups_of_index4(g, maximal_subgroups(top)):
             for h in (top, sub):
-                for nrm in [subgroup(g, [])] + lower_central_series(g) + [sub]:
+                for nrm in [subgroup(g, [])] + lower_central_series(top) + [sub]:
                     if not nrm.elements <= h.elements:
                         continue
                     parts = cosets(g, h.elements, nrm.elements)
@@ -628,7 +633,7 @@ def test_fingerprint_builds_the_maximal_subgroups_once(monkeypatch):
 
 def test_quotient_rejects_foreign_cosets():
     g = gamma(1, 2, 0)
-    q = quotient_group(g, lower_central_series(g)[3])
+    q = quotient_group(g, lower_central_series(whole_group(g))[3])
     with pytest.raises(GroupMismatch):
         q.mul(frozenset(), q.identity)
     with pytest.raises(GroupMismatch):
@@ -671,13 +676,24 @@ def test_element_orders_from_squares():
 def test_abelian_type_of_matches_coset_squaring():
     for g in _small_groups():
         top = whole_group(g)
-        der = derived_subgroup(top)
         trivial = subgroup(g, [])
-        subs = maximal_subgroups(top) + [s for s, _ in subgroups_of_index4(g)]
-        cases = [(sub, derived_subgroup(sub)) for sub in subs]
-        cases += [(top, der), (der, trivial), (centre(g), trivial)]
-        for h, nrm in cases:
-            assert abelian_type_of(h, nrm) == _reference_abelian_type(h, nrm)
+        maximals = maximal_subgroups(top)
+        for h in [top] + maximals + [s for s, _ in subgroups_of_index4(g, maximals)]:
+            assert abelianization(h) == _reference_abelian_type(h, derived_subgroup(h))
+        for h in (top.derived, centre(g)):
+            assert abelian_type_of(h) == _reference_abelian_type(h, trivial)
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # Each print line of README's Python block ends in a comment giving the
+    # line it prints.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    expected = [
+        line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")
+    ]
+    exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 # The digests of `quadtower --format json group n m eps --report r` are rows

@@ -13,6 +13,7 @@ from quadtower.cli import _jsonable
 from quadtower.errors import (
     DiscriminantMismatch,
     InertPrime,
+    InvalidArgument,
     SquareDiscriminant,
     StructureMismatch,
 )
@@ -106,14 +107,16 @@ def test_compose_discriminant_mismatch():
 def test_form_pow():
     d = -68
     f = QuadForm(3, 2, 6)
-    assert form_pow(f, 0) == reduce_form(principal_form(d))
     assert form_pow(f, 2) == reduce_form(compose(f, f))
     assert form_pow(f, 4) == reduce_form(principal_form(d))
     assert form_pow(f, 1) is f
-    assert form_pow(f, 3) == compose(f, compose(f, f))
-    assert form_pow(f, -1) == QuadForm(3, -2, 6) == form_pow(f, 3)
+    assert form_pow(f, 3) == compose(f, compose(f, f)) == QuadForm(3, -2, 6)
+    # Only a reduced definite form and k >= 1 are taken.
     moved = f.transform(2, 1, 1, 1)
-    assert moved != f and form_pow(moved, 1) == f and form_pow(moved, -5) == form_pow(f, 3)
+    assert moved != f and reduce_form(moved) == f
+    for form, k in ((f, 0), (f, -1), (moved, 1), (moved, -5), (principal_form(5), 1)):
+        with pytest.raises(InvalidArgument):
+            form_pow(form, k)
 
 
 def test_prime_form():
@@ -152,6 +155,20 @@ def test_wide_h2():
     assert wide_h2(12) == 1
     assert fundamental_unit(204).norm == 1
     assert fundamental_unit(561).norm == 1
+
+
+def test_square_discriminant_refused():
+    # d = 1 is fundamental but square: its class number would read 0.
+    with pytest.raises(SquareDiscriminant):
+        class_group(1)
+    with pytest.raises(SquareDiscriminant):
+        wide_h2(1)
+
+
+def test_real_quadratic_functions_refuse_negative_discriminants():
+    for function in (fundamental_unit, wide_h2):
+        with pytest.raises(InvalidArgument):
+            function(-4)
 
 
 def test_is_principal_narrow_vs_wide():
