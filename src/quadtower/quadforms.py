@@ -617,6 +617,8 @@ def fundamental_unit(d: int) -> Unit:
     computed from the automorph matrix of the principal cycle."""
     if d < 0:
         raise InvalidArgument(f"fundamental_unit needs a positive discriminant, not {d}")
+    if d % 4 > 1:
+        raise InvalidArgument(f"{d} is not a discriminant: it is {d % 4} mod 4")
     p = reduce_form(principal_form(d))
     # Accumulate the rho-step matrices [[0, -1], [1, s]], s = (b + b') / (2c).
     m11, m12, m21, m22 = 1, 0, 0, 1

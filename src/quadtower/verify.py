@@ -10,8 +10,11 @@ invariant can separate them); these are reported but not counted as failures.
 from __future__ import annotations
 
 import math
+import os
 import random
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .arith import is_fundamental
 from .errors import InvalidArgument, QuadTowerError
@@ -382,6 +385,131 @@ def criterion_crosschecks() -> CriterionResult:
     return res
 
 
+# The schedule is cut into at most this many tickets of 2 bytes each, so that
+# all of them fit the smallest pipe Linux makes (one 4 KiB page, PIPE_BUF) and
+# one write fills the ticket pipe before any fork without blocking.
+_MAX_TICKETS = 2048
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _forked_results(units: list, schedule: list[int]) -> dict[int, object]:
+    """{i: units[i]()} for the units that ran to a result on the usable CPUs.
+
+    With one usable CPU or one ticket, or with another thread running (a
+    child forked from a threaded process can block on a lock that thread
+    held), nothing runs here and {} is returned.  Otherwise the schedule is
+    cut into tickets, the tickets are written to a pipe, and one child fewer
+    than the usable CPUs is forked; this process and every child take the
+    next ticket until none is left.  Each child pickles its (index, result)
+    pairs back over its own pipe and leaves by os._exit.  A unit that raised,
+    or whose child died, is missing from the dict; the caller runs it again
+    itself, so that it raises there.  Every child is reaped before this
+    returns or raises."""
+    step = -(-len(schedule) // _MAX_TICKETS)
+    slices = [schedule[k : k + step] for k in range(0, len(schedule), step)]
+    workers = min(_usable_cpus(), len(slices))
+    # threading counts the threads started through it; unimported, none were.
+    threads = sys.modules.get("threading")
+    if workers < 2 or threads and threads.active_count() > 1:
+        return {}
+    import pickle
+
+    tickets, fill = os.pipe()
+    os.write(fill, b"".join(k.to_bytes(2, "little") for k in range(len(slices))))
+    os.close(fill)
+
+    def work() -> dict[int, object]:
+        done = {}
+        while ticket := os.read(tickets, 2):
+            for i in slices[int.from_bytes(ticket, "little")]:
+                try:
+                    done[i] = units[i]()
+                except Exception:
+                    pass
+        return done
+
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                try:
+                    for fd in (r, *children.values()):
+                        os.close(fd)
+                    with os.fdopen(w, "wb") as out:
+                        pickle.dump(list(work().items()), out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children[pid] = r
+        done = work()
+        for r in children.values():
+            with os.fdopen(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                done.update(pickle.loads(data))
+            except Exception:
+                pass  # the child died before it wrote all its results
+        return done
+    finally:
+        # On the way out by an exception: no ticket is left to take, and a
+        # child writing its results finds its pipe closed.
+        while os.read(tickets, 4096):
+            pass
+        os.close(tickets)
+        for pid, r in children.items():
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
+def _presentation_failures(build, *args, seed: int) -> list[str]:
+    return verify_presentation(build(*args), seed=seed)["failures"]
+
+
+def _group_law_failures(d: int, cls, one, triples) -> list[str]:
+    """The failures of the group axioms for Gauss composition on the classes
+    cls of discriminant d, with one the reduced principal form and triples
+    the drawn associativity triples as indices into cls."""
+    index = {f: i for i, f in enumerate(cls)}
+    if one not in index:
+        return [f"{d}: principal class missing"]
+    failures = []
+    table = []
+    closed = True
+    for f in cls:
+        # The inverse of the class of (a, b, c) is the class of (a, -b, c).
+        fi = reduce_form(QuadForm(f.a, -f.b, f.c))
+        if compose(f, fi) != one:
+            failures.append(f"{d}: {f} has no inverse")
+        row = [index.get(compose(f, h)) for h in cls]
+        if None in row:
+            closed = False
+            for h, k in zip(cls, row):
+                if k is None:
+                    failures.append(f"{d}: not closed at {f}*{h}")
+        table.append(row)
+    for x, y, z in triples:
+        if closed:
+            ok = table[table[x][y]][z] == table[x][table[y][z]]
+        else:
+            x, y, z = cls[x], cls[y], cls[z]
+            ok = compose(compose(x, y), z) == compose(x, compose(y, z))
+        if not ok:
+            failures.append(f"{d}: associativity fails")
+    return failures
+
+
 def criterion_oracles(
     grid: int | None = None,
     seed: int = 0,
@@ -391,30 +519,42 @@ def criterion_oracles(
     """Presentation verification, composition-table group axioms, and the
     genus-character product rule.
 
-    For each fundamental d in [-disc_limit, -3] the classes are indexed once
-    and compose fills an h x h table of product indices, None marking a
-    product outside the classes.  Closure reads the table; each inverse is
-    one more compose call; the 10 drawn associativity triples per d are
-    table lookups when d is closed and compose calls when it is not.  The
+    The work is one list of independent units: one per presentation, whose
+    result is its verify_presentation failures, and one per fundamental d in
+    [-disc_limit, -3], whose result is the group-axiom failures of Cl(d).
+    This process first builds every class group and draws each d's 10
+    associativity triples with rng.choice, as indices into its classes.  On
+    Linux the units then run on every usable CPU (os.sched_getaffinity):
+    forked children and this process pull them in the order presentations
+    first, then d by descending class number.  The results are merged in
+    list order, where the axiom failures stop after the first d that takes
+    them past 10; a unit that raised or whose child died is run again here
+    at its place, so the checks, and any error raised, are the same as with
+    one CPU, where the units run in a plain loop in list order.
+
+    Per d, the classes are indexed once and compose fills an h x h table of
+    product indices, None marking a product outside the classes.  Closure
+    reads the table; each inverse is one more compose call; the drawn triples
+    are table lookups when d is closed and compose calls when it is not.  The
     genus survey takes every character of a class from one characters call.
     """
     res = CriterionResult(10, "oracle-suite")
+    names = []
+    units = []
     for n, m in grid_points(grid):
         for eps in (0, 1):
-            report = verify_presentation(gamma(n, m, eps), seed=seed)
-            res.checks.append(
-                Check(f"presentation({n},{m},{eps})", [], report["failures"])
-            )
+            names.append(f"presentation({n},{m},{eps})")
+            units.append(partial(_presentation_failures, gamma, n, m, eps, seed=seed))
     for n in (2, 3, 4):
-        report = verify_presentation(gamma4r(n), seed=seed)
-        res.checks.append(Check(f"presentation-4r({n})", [], report["failures"]))
+        names.append(f"presentation-4r({n})")
+        units.append(partial(_presentation_failures, gamma4r, n, seed=seed))
 
     survey = [d for d in range(-3, -character_limit - 1, -1) if is_fundamental(d)]
     survey += [-2244, -2580, -5412, 204, 561]
-    # The class groups of the survey that the axioms loop builds on its way.
+    # The class groups of the survey that are built for the axioms anyway.
     survey_groups = dict.fromkeys(survey)
     rng = random.Random(seed)
-    axiom_failures: list[str] = []
+    sizes = {}  # unit index -> h, for every d in list order
     for d in range(-3, -disc_limit - 1, -1):
         if not is_fundamental(d):
             continue
@@ -424,32 +564,23 @@ def criterion_oracles(
         cls = group.classes
         index = {f: i for i, f in enumerate(cls)}
         one = reduce_form(principal_form(d))
-        if one not in index:
-            axiom_failures.append(f"{d}: principal class missing")
-            continue
-        table = []
-        closed = True
-        for f in cls:
-            # The inverse of the class of (a, b, c) is the class of (a, -b, c).
-            fi = reduce_form(QuadForm(f.a, -f.b, f.c))
-            if compose(f, fi) != one:
-                axiom_failures.append(f"{d}: {f} has no inverse")
-            row = [index.get(compose(f, h)) for h in cls]
-            if None in row:
-                closed = False
-                for h, k in zip(cls, row):
-                    if k is None:
-                        axiom_failures.append(f"{d}: not closed at {f}*{h}")
-            table.append(row)
-        for _ in range(10):
-            x, y, z = (rng.choice(cls) for _ in range(3))
-            if closed:
-                x, y, z = index[x], index[y], index[z]
-                ok = table[table[x][y]][z] == table[x][table[y][z]]
-            else:
-                ok = compose(compose(x, y), z) == compose(x, compose(y, z))
-            if not ok:
-                axiom_failures.append(f"{d}: associativity fails")
+        triples = []
+        if one in index:
+            triples = [tuple(index[rng.choice(cls)] for _ in range(3)) for _ in range(10)]
+        sizes[len(units)] = len(cls)
+        units.append(partial(_group_law_failures, d, cls, one, triples))
+
+    schedule = list(range(len(names))) + sorted(sizes, key=sizes.get, reverse=True)
+    done = _forked_results(units, schedule)
+
+    def result(i):
+        return done[i] if i in done else units[i]()
+
+    for i, name in enumerate(names):
+        res.checks.append(Check(name, [], result(i)))
+    axiom_failures: list[str] = []
+    for i in sizes:
+        axiom_failures += result(i)
         if len(axiom_failures) > 10:
             break
     res.checks.append(Check("composition-group-axioms", [], axiom_failures))

@@ -8,13 +8,17 @@ separating the two order-64 quotients at m = 3 (they are isomorphic).
 
 import hashlib
 import json
+import os
 import random
+import threading
+import time
 import types
 
 import pytest
 
 from quadtower import pgroup, verify
 from quadtower.arith import is_fundamental
+from quadtower.errors import StructureMismatch
 from quadtower.quadforms import QuadForm
 from quadtower.pgroup import (
     distinguish,
@@ -144,10 +148,11 @@ def test_criterion_oracles_builds_each_class_group_once(monkeypatch):
 
 # sha256 of the JSON of [checks, draws] for the bench-size call
 # criterion_oracles(grid=1, disc_limit=800, character_limit=300, seed=s):
-# every check as [name, computed, passed], then every value that rng.choice
-# (the associativity triples of the class groups) and rng.choices (the
-# presentation samples) returned, in call order.  Taken with the per-product
-# compose and g.mul loops, before the checks read index tables.
+# every check as [name, computed, passed], then every value that rng.choices
+# (the presentation samples) returned, then every value that rng.choice (the
+# associativity triples of the class groups) returned, each in call order.
+# Taken with the per-product compose and g.mul loops, before the checks read
+# index tables, when the presentations ran before any triple was drawn.
 ORACLE_BENCH_SHA256 = {
     0: "8c6a6e1eff9df6cc0c6336b2857f91488c6fd027703a092b9f332e3c1fde4e64",
     1: "b09fa72fcae4812542f2cc5eca636cd1e058139153e4f7005b9c14ea8491d16b",
@@ -159,19 +164,23 @@ ORACLE_BENCH_SHA256 = {
 
 @pytest.mark.parametrize("seed", sorted(ORACLE_BENCH_SHA256))
 def test_criterion_oracles_bench_call_draws_pinned(monkeypatch, seed):
-    draws = []
+    # A draw made in a forked child never reaches this process's recorder,
+    # so the call runs on one CPU.  The triples are drawn before the
+    # presentations run, so each kind of draw is recorded in its own list.
+    samples, triples = [], []
 
     class Recording(random.Random):
         def choice(self, seq):
-            draws.append(super().choice(seq))
-            return draws[-1]
+            triples.append(super().choice(seq))
+            return triples[-1]
 
         def choices(self, population, weights=None, *, cum_weights=None, k=1):
-            draws.append(super().choices(population, weights, cum_weights=cum_weights, k=k))
-            return draws[-1]
+            samples.append(super().choices(population, weights, cum_weights=cum_weights, k=k))
+            return samples[-1]
 
     for module in (pgroup, verify):
         monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=Recording))
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     result = criterion_oracles(grid=1, disc_limit=800, character_limit=300, seed=seed)
     assert [c.name for c in result.checks] == [
         "presentation-4r(2)", "presentation-4r(3)", "presentation-4r(4)",
@@ -179,8 +188,133 @@ def test_criterion_oracles_bench_call_draws_pinned(monkeypatch, seed):
     ]
     assert result.passed
     checks = [[c.name, c.computed, c.passed] for c in result.checks]
-    digest = hashlib.sha256(json.dumps([checks, draws]).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps([checks, samples + triples]).encode()).hexdigest()
     assert digest == ORACLE_BENCH_SHA256[seed]
+
+
+def _on_cpus(monkeypatch, cpus, expected_forks=None, **limits):
+    """criterion_oracles(**limits) as it runs with `cpus` usable CPUs, having
+    forked cpus - 1 children (or expected_forks) and left none behind."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_usable_cpus", lambda: cpus)
+        patch.setattr(os, "fork", counting_fork)
+        result = criterion_oracles(**limits)
+    assert len(forks) == (cpus - 1 if expected_forks is None else expected_forks)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return result
+
+
+BENCH_LIMITS = {"grid": 1, "disc_limit": 800, "character_limit": 300}
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [dict(BENCH_LIMITS, seed=seed) for seed in range(5)] + [{"grid": 2, "disc_limit": 3000}],
+)
+def test_criterion_oracles_forked_equals_inline(monkeypatch, limits):
+    inline = _on_cpus(monkeypatch, 1, **limits)
+    assert inline.passed
+    assert _on_cpus(monkeypatch, 3, **limits).checks == inline.checks
+
+
+def test_criterion_oracles_does_not_fork_beside_another_thread(monkeypatch):
+    inline = _on_cpus(monkeypatch, 1, **BENCH_LIMITS)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        alone = _on_cpus(monkeypatch, 3, expected_forks=0, **BENCH_LIMITS)
+    finally:
+        stop.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    assert alone.checks == inline.checks
+
+
+def test_criterion_oracles_runs_a_dead_childs_units_again(monkeypatch, tmp_path):
+    # Each presentation unit also reports its own arguments, so a unit lost
+    # with its child would show.  The first child to run one exits with
+    # status 3 before it reports any result; this process holds its own first
+    # presentation until that has happened, then runs the lost units itself.
+    parent, died = os.getpid(), tmp_path / "died"
+    real = verify._presentation_failures
+
+    def tagged(build, *args, seed):
+        return real(build, *args, seed=seed) + [f"{build.__name__}{args}"]
+
+    def dying(build, *args, seed):
+        if os.getpid() != parent:
+            try:
+                died.touch(exist_ok=False)
+            except FileExistsError:
+                pass
+            else:
+                os._exit(3)
+        deadline = time.monotonic() + 30
+        while not died.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return tagged(build, *args, seed=seed)
+
+    monkeypatch.setattr(verify, "_presentation_failures", tagged)
+    inline = _on_cpus(monkeypatch, 1, **BENCH_LIMITS)
+    assert [c.computed for c in inline.checks[:3]] == [
+        ["gamma4r(2,)"], ["gamma4r(3,)"], ["gamma4r(4,)"],
+    ]
+    monkeypatch.setattr(verify, "_presentation_failures", dying)
+    forked = _on_cpus(monkeypatch, 3, **BENCH_LIMITS)
+    assert died.exists()
+    assert forked.checks == inline.checks
+
+
+def test_criterion_oracles_forked_raises_the_inline_error(monkeypatch):
+    # Two class-group units raise; the error is the one first in list order
+    # (-23 before -47, though h(-47) = 5 is scheduled before h(-23) = 3),
+    # whichever process first ran each.
+    real = verify.compose
+
+    def raising(f, g):
+        if f.disc in (-23, -47):
+            raise StructureMismatch(f"{f.disc} stub")
+        return real(f, g)
+
+    monkeypatch.setattr(verify, "compose", raising)
+    for cpus in (1, 3):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        with pytest.raises(StructureMismatch, match="^-23 stub$"):
+            criterion_oracles(**BENCH_LIMITS)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_criterion_oracles_reaps_its_children_when_interrupted(monkeypatch):
+    # The first unit this process takes is interrupted; the children then
+    # find no ticket left, and no reader for their results.
+    parent = os.getpid()
+
+    def interruptible(real):
+        def unit(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+        return unit
+
+    for name in ("_presentation_failures", "_group_law_failures"):
+        monkeypatch.setattr(verify, name, interruptible(getattr(verify, name)))
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
+    with pytest.raises(KeyboardInterrupt):
+        criterion_oracles(**BENCH_LIMITS)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _axiom_failures(monkeypatch, fault):
@@ -194,24 +328,38 @@ def _axiom_failures(monkeypatch, fault):
     return check.computed
 
 
-def test_criterion_oracles_sees_a_product_outside_the_classes(monkeypatch):
+def _leak(real, f, g):
     # The square of a class, when it is not principal, becomes an unreduced
     # form; the inverse check, whose products are principal, is untouched.
     # On a d that is not closed the drawn triples go through the same
     # compose, so they can fail too.
-    def leak(real, f, g):
-        p = real(f, g)
-        if f == g and p.a != 1:
-            a, b, c = p
-            return QuadForm(a, b + 2 * a, a + b + c)
-        return p
+    p = real(f, g)
+    if f == g and p.a != 1:
+        a, b, c = p
+        return QuadForm(a, b + 2 * a, a + b + c)
+    return p
 
-    failures = _axiom_failures(monkeypatch, leak)
-    assert failures[0] == (
-        "-23: not closed at QuadForm(a=2, b=-1, c=3)*QuadForm(a=2, b=-1, c=3)"
-    )
+
+LEAK_FIRST_FAILURE = "-23: not closed at QuadForm(a=2, b=-1, c=3)*QuadForm(a=2, b=-1, c=3)"
+
+
+def test_criterion_oracles_sees_a_product_outside_the_classes(monkeypatch):
+    failures = _axiom_failures(monkeypatch, _leak)
+    assert failures[0] == LEAK_FIRST_FAILURE
     assert all(" not closed at " in x or x.endswith(": associativity fails")
                for x in failures)
+
+
+def test_criterion_oracles_forked_sees_the_same_leak(monkeypatch):
+    # The children inherit the patched compose with the rest of the process.
+    real = verify.compose
+    monkeypatch.setattr(verify, "compose", lambda f, g: _leak(real, f, g))
+    limits = {"grid": 1, "disc_limit": 300, "character_limit": 100}
+    inline = _on_cpus(monkeypatch, 1, **limits).checks
+    assert _on_cpus(monkeypatch, 3, **limits).checks == inline
+    (axioms,) = [c for c in inline if not c.passed]
+    assert axioms.name == "composition-group-axioms"
+    assert axioms.computed[0] == LEAK_FIRST_FAILURE
 
 
 def test_criterion_oracles_sees_a_product_in_the_wrong_class(monkeypatch):

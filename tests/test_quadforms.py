@@ -171,6 +171,14 @@ def test_real_quadratic_functions_refuse_negative_discriminants():
             function(-4)
 
 
+def test_fundamental_unit_refuses_a_non_discriminant():
+    # d = 2, 3 (mod 4) is no discriminant; the principal form it would build
+    # has another discriminant, so the refusal comes before any work.
+    for d in (3, 6, 10, 2, 7):
+        with pytest.raises(InvalidArgument, match=f"^{d} is not a discriminant"):
+            fundamental_unit(d)
+
+
 def test_is_principal_narrow_vs_wide():
     # d = 12 has unit norm +1: the (-1)-form is wide-principal only.
     d = 12

@@ -288,14 +288,22 @@ def test_scan_workers_capped_at_cpu_count(serial_pool):
 
 
 def test_import_does_not_load_the_process_pool():
-    # The pool module is imported only by a scan with more than one worker.
+    # The pool module is imported only by a scan with more than one worker,
+    # and pickle only by criterion 10 when it forks.
     src = os.path.dirname(os.path.dirname(os.path.abspath(tower.__file__)))
-    code = "import sys, quadtower; print('concurrent.futures.process' in sys.modules)"
+    code = (
+        "import importlib, pkgutil, sys, quadtower\n"
+        "names = [m.name for m in pkgutil.iter_modules(quadtower.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('quadtower.' + name)\n"
+        "heavy = ('concurrent.futures.process', 'multiprocessing', 'pickle')\n"
+        "print(len(names), [m for m in heavy if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, env=dict(os.environ, PYTHONPATH=src), check=True,
     )
-    assert proc.stdout.decode().strip() == "False"
+    assert proc.stdout.decode().strip() == "9 []"
 
 
 def _reference_4pqr(d):
