@@ -724,10 +724,10 @@ def _witt_sample(rng, points, mul, inv, ident, count: int) -> bool:
 
 def verify_presentation(g, seed: int = 0) -> dict:
     """Independent checks that the collection engine realizes the intended
-    presentation: element count, identity, inverses, relations, closure
-    (groups of order up to 256), sampled associativity, the standard
-    commutator identities on the generators, sampled Hall-Witt identities and
-    generation, reported in that order.  Returns a report dict; never raises.
+    presentation: element count, identity, inverses, relations, closure,
+    sampled associativity, the standard commutator identities on the
+    generators, sampled Hall-Witt identities and generation, reported in that
+    order.  Returns a report dict.
 
     The two sampled checks draw 10^4 associativity triples of 4 products
     each and 2000 Hall-Witt triples of 46 products each, 132,000 products in
@@ -736,10 +736,12 @@ def verify_presentation(g, seed: int = 0) -> dict:
     inverse or identity outside g.elements() fails "closure", and otherwise
     the samples read the table's index rows, so they see exactly the
     engine's products with no call per product.  A larger group, or one that
-    fails closure, is sampled through g.mul.  Each check draws all its
-    triples with one rng.choices call, over indices on the table path and
-    over g.elements() on the direct path, so a seed samples the same triples
-    on both.
+    fails closure, is sampled through g.mul, each product tested against one
+    frozenset of g.elements(): the first product outside it ends the
+    sampling, and the check it ended is not reported; on a larger group that
+    product fails "closure".  Each check draws all its triples with one
+    rng.choices call, over indices on the table path and over g.elements()
+    on the direct path, so a seed samples the same triples on both.
     """
     report = {"order": None, "failures": [], "seed": seed}
     mul, inv, comm, gpow = g.mul, g.inv, g.comm, g.pow
@@ -786,13 +788,31 @@ def verify_presentation(g, seed: int = 0) -> dict:
         check("closure", closed)
         if not closed:
             table = None
+    # Both samples run here, in draw order; the commutator identities draw
+    # nothing, so the checks can still be reported in order.
     rng = random.Random(seed)
-    if table is None:
-        check("associativity-sample",
-              _associativity_sample(rng, els, mul, _ASSOC_SAMPLES))
+    if table is not None:
+        assoc = _associativity_table_sample(rng, rows, _ASSOC_SAMPLES)
+        witt = _witt_table_sample(rng, rows, tinv, tident, _WITT_SAMPLES)
     else:
-        check("associativity-sample",
-              _associativity_table_sample(rng, rows, _ASSOC_SAMPLES))
+        # Without a table, the sampled products are the closure check.
+        members = frozenset(els)
+
+        def member_mul(x, y):
+            p = mul(x, y)
+            if p not in members:
+                raise GroupMismatch(f"product outside group: {x} * {y}")
+            return p
+
+        assoc = witt = None
+        try:
+            assoc = _associativity_sample(rng, els, member_mul, _ASSOC_SAMPLES)
+            witt = _witt_sample(rng, els, member_mul, inv, ident, _WITT_SAMPLES)
+        except GroupMismatch:
+            pass
+        if len(els) > _TABLE_MAX_ORDER:
+            check("closure", witt is not None)
+    check("associativity-sample", assoc is not False)
 
     # Commutator identities on generators (metabelian form).
     gens = [a1, a2, a3]
@@ -811,12 +831,7 @@ def verify_presentation(g, seed: int = 0) -> dict:
             ok_gen = False
     check("product-commutator-identities", ok_gen)
 
-    if table is None:
-        check("witt-identities",
-              _witt_sample(rng, els, mul, inv, ident, _WITT_SAMPLES))
-    else:
-        check("witt-identities",
-              _witt_table_sample(rng, rows, tinv, tident, _WITT_SAMPLES))
+    check("witt-identities", witt is not False)
 
     check("generation", subgroup(g, gens).order == g.order)
     report["ok"] = not report["failures"]

@@ -365,6 +365,12 @@ def _scan_chunk(args: tuple[int, int, int]) -> list[TowerReport]:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
 def scan(
     lo: int,
     hi: int,
@@ -378,7 +384,7 @@ def scan(
     above arith.DEFAULT_FACTOR_BOUND raises BoundExceeded before any d is
     examined, and so does one whose |lo| is above the enumeration bound
     `bound`.  The result is deterministic and independent of the worker
-    count, which is capped at the number of CPUs.
+    count, which is capped at the number of usable CPUs.
     """
     if not (lo < hi <= -1):
         raise InvalidArgument(f"need lo < hi <= -1, got [{lo}, {hi}]")
@@ -388,7 +394,7 @@ def scan(
         )
     if -lo > bound:
         raise BoundExceeded(f"|{lo}| exceeds enumeration bound {bound}")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, _usable_cpus())
     if workers <= 1:
         return _scan_chunk((lo, hi, bound))
     span = hi - lo + 1

@@ -51,6 +51,7 @@ from .quadforms import (
 )
 from .tower import (
     Check,
+    _usable_cpus,
     classify,
     corollary2_closed_forms,
     corollary2_engine,
@@ -391,12 +392,6 @@ def criterion_crosschecks() -> CriterionResult:
 _MAX_TICKETS = 2048
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
 def _forked_results(units: list, schedule: list[int]) -> dict[int, object]:
     """{i: units[i]()} for the units that ran to a result on the usable CPUs.
 
@@ -480,19 +475,29 @@ def _presentation_failures(build, *args, seed: int) -> list[str]:
 def _group_law_failures(d: int, cls, one, triples) -> list[str]:
     """The failures of the group axioms for Gauss composition on the classes
     cls of discriminant d, with one the reduced principal form and triples
-    the drawn associativity triples as indices into cls."""
+    the drawn associativity triples as indices into cls.
+
+    compose is called for the diagonal, the upper triangle and every pair of
+    equal |a|; below the diagonal, a pair whose |a| differ reads the
+    transposed entry, the product compose computes in the same way for both
+    argument orders.  The closure scan, the failure strings and the triples
+    read the table as if every product had been composed."""
     index = {f: i for i, f in enumerate(cls)}
     if one not in index:
         return [f"{d}: principal class missing"]
     failures = []
     table = []
     closed = True
-    for f in cls:
+    for i, f in enumerate(cls):
         # The inverse of the class of (a, b, c) is the class of (a, -b, c).
         fi = reduce_form(QuadForm(f.a, -f.b, f.c))
         if compose(f, fi) != one:
             failures.append(f"{d}: {f} has no inverse")
-        row = [index.get(compose(f, h)) for h in cls]
+        # compose puts the factor of smaller |a| first, so when |a| differ,
+        # f*h is the computation of h*f, already in h's row.
+        a = abs(f.a)
+        row = [r[i] if abs(h.a) != a else index.get(compose(f, h)) for r, h in zip(table, cls)]
+        row += [index.get(compose(f, h)) for h in cls[i:]]
         if None in row:
             closed = False
             for h, k in zip(cls, row):
@@ -510,6 +515,11 @@ def _group_law_failures(d: int, cls, one, triples) -> list[str]:
     return failures
 
 
+def _character_failures(d: int, classes) -> list[str]:
+    return [f"{d}: product != +1 on {c}" for c in classes
+            if math.prod(characters(d, c).values()) != 1]
+
+
 def criterion_oracles(
     grid: int | None = None,
     seed: int = 0,
@@ -520,20 +530,24 @@ def criterion_oracles(
     genus-character product rule.
 
     The work is one list of independent units: one per presentation, whose
-    result is its verify_presentation failures, and one per fundamental d in
-    [-disc_limit, -3], whose result is the group-axiom failures of Cl(d).
-    This process first builds every class group and draws each d's 10
-    associativity triples with rng.choice, as indices into its classes.  On
-    Linux the units then run on every usable CPU (os.sched_getaffinity):
+    result is its verify_presentation failures, one per fundamental d in
+    [-disc_limit, -3], whose result is the group-axiom failures of Cl(d), and
+    one per discriminant of the genus survey, whose result is the classes
+    where the characters do not multiply to +1.  This process first builds
+    every class group, the survey's extra ones included, and draws each d's
+    10 associativity triples with rng.choice, as indices into its classes.
+    On Linux the units then run on every usable CPU (tower._usable_cpus):
     forked children and this process pull them in the order presentations
-    first, then d by descending class number.  The results are merged in
-    list order, where the axiom failures stop after the first d that takes
-    them past 10; a unit that raised or whose child died is run again here
-    at its place, so the checks, and any error raised, are the same as with
-    one CPU, where the units run in a plain loop in list order.
+    first, then d by descending class number, then the survey.  The results
+    are merged in list order, where the axiom failures stop after the first
+    d that takes them past 10; a unit that raised or whose child died is run
+    again here at its place, so the checks, and any error raised, are the
+    same as with one CPU, where the units run in a plain loop in list order.
 
-    Per d, the classes are indexed once and compose fills an h x h table of
-    product indices, None marking a product outside the classes.  Closure
+    Per d, the classes are indexed once and _group_law_failures fills an
+    h x h table of product indices, None marking a product outside the
+    classes; it composes each unordered pair once, and both orders of a pair
+    of equal |a|, and reads the rest of the table off its transpose.  Closure
     reads the table; each inverse is one more compose call; the drawn triples
     are table lookups when d is closed and compose calls when it is not.  The
     genus survey takes every character of a class from one characters call.
@@ -570,7 +584,13 @@ def criterion_oracles(
         sizes[len(units)] = len(cls)
         units.append(partial(_group_law_failures, d, cls, one, triples))
 
+    first_survey = len(units)
+    for d in survey:
+        group = survey_groups[d] or class_group(d)
+        units.append(partial(_character_failures, d, group.classes))
+
     schedule = list(range(len(names))) + sorted(sizes, key=sizes.get, reverse=True)
+    schedule += range(first_survey, len(units))
     done = _forked_results(units, schedule)
 
     def result(i):
@@ -586,11 +606,8 @@ def criterion_oracles(
     res.checks.append(Check("composition-group-axioms", [], axiom_failures))
 
     character_failures: list[str] = []
-    for d in survey:
-        group = survey_groups[d] or class_group(d)
-        for c in group.classes:
-            if math.prod(characters(d, c).values()) != 1:
-                character_failures.append(f"{d}: product != +1 on {c}")
+    for i in range(first_survey, len(units)):
+        character_failures += result(i)
     res.checks.append(Check("genus-character-product", [], character_failures))
     return res
 

@@ -418,6 +418,24 @@ def test_verify_presentation_reports_a_product_outside_the_elements():
     assert verify_presentation(Leaky(params), seed=3)["failures"] == ["closure"]
 
 
+def test_verify_presentation_direct_path_sees_a_product_outside_the_elements():
+    # Gamma(3,3,1) (order 512) has no table: every product with left factor
+    # els[100] leaves the group, and the samples compute some of them on
+    # every seed.  The first one ends the sampling and fails "closure".
+    params = GroupParams(3, 3, 1)
+    x0 = gamma(3, 3, 1).elements()[100]
+
+    class Leaky(PGroup):
+        def mul(self, x, y):
+            if x == x0:
+                return (9, 0, 0, 0, 0)
+            return super().mul(x, y)
+
+    for seed in range(5):
+        report = verify_presentation(Leaky(params), seed=seed)
+        assert report["failures"] == ["identity", "inverses", "closure", "generation"], seed
+
+
 def test_sampled_checks_draw_the_same_triples_on_both_paths():
     # One seed feeds the same products, in the same order, to the check
     # body over element tuples and over Cayley-table indices.

@@ -506,6 +506,21 @@ def test_compose_group_laws_on_random_discriminants():
         assert moved > 20, d
 
 
+def test_compose_is_symmetric_on_every_pair():
+    # Criterion 10 composes a pair of classes whose |a| differ in one order
+    # only and reads the other order off the transposed table entry; both
+    # orders must give the same class on every ordered pair.
+    pairs = 0
+    for d in range(-3, -3001, -1):
+        if not is_fundamental(d):
+            continue
+        classes = class_group(d).classes
+        table = [[compose(f, g) for g in classes] for f in classes]
+        assert table == [list(column) for column in zip(*table)], d
+        pairs += len(table) ** 2
+    assert pairs == 402_948
+
+
 def test_quadform_tuple_contract():
     f = QuadForm(3, -2, 5)
     assert repr(f) == "QuadForm(a=3, b=-2, c=5)" == str(f)

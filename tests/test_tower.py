@@ -217,7 +217,7 @@ def family_below_1e5():
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """A 3-CPU machine whose process pool maps in-process; the list records
+    """3 usable CPUs and a process pool that maps in-process; the list records
     the max_workers of every pool made."""
     requested = []
 
@@ -235,7 +235,7 @@ def serial_pool(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(tower.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(tower, "_usable_cpus", lambda: 3)
     return requested
 
 
@@ -285,6 +285,14 @@ def test_scan_workers_capped_at_cpu_count(serial_pool):
     assert serial_pool == []
     assert _rows(scan(-8000, -1, workers=100000)) == _rows(serial)
     assert serial_pool == [3]
+
+
+def test_scan_workers_capped_at_usable_cpus(serial_pool, monkeypatch):
+    # os.cpu_count() counts CPUs this process may not run on (taskset).
+    monkeypatch.setattr(tower, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(tower.os, "cpu_count", lambda: 4)
+    assert _rows(scan(-8000, -1, workers=4)) == _rows(scan(-8000, -1))
+    assert serial_pool == []
 
 
 def test_import_does_not_load_the_process_pool():
