@@ -5,10 +5,12 @@ Elements are 5-exponent normal forms a1^e1 a2^e2 a3^e3 c12^f1 c13^f2, with
 multiplication by collection.  Every subgroup carries a generating set of
 at most log2 of its order elements, and every span grows by one step: a new
 generator extends a subgroup by the right cosets it adds (Dimino).  Derived
-and Frattini subgroups and lower central terms are normal closures of a few
-commutators and squares of those generators; a derived subgroup is certified
-normal with abelian quotient once, where it is built, and each Subgroup keeps
-its own as `derived`.  Maximal subgroups need no span beyond Phi(h): one pass
+subgroups and lower central terms are normal closures of a few commutators
+of those generators; a derived subgroup is certified normal with abelian
+quotient once, where it is built, and each Subgroup keeps its own as
+`derived`.  Phi(h) is that h' extended by the squares of h's generators;
+the centre grows by each central element met outside the cosets of it
+already ruled out.  Maximal subgroups need no span beyond Phi(h): one pass
 labels the cosets of Phi(h) by subsets of a Burnside basis, and each
 hyperplane preimage is a union of labelled cosets.
 The paper's named subgroups of Gamma are read off that one pass, not spanned
@@ -18,12 +20,15 @@ and H_1 cap H_2 is one coset step over it.  `subgroup` is the one span
 constructor.  Abelian invariants of h/N come from the spans <N, x^(2^j)> of
 powers of h's generators, through the kernel the class groups use
 (quadforms.abelian_type_from_powers).  One coset map, `cosets`, serves
-transfer kernels and quotients.  PGroup and the quotient groups share one
-protocol: elements(), gens(), mul, inv and identity, with pow and comm from
-_Group.  All operations are exact and exhaustive; PGroup refuses orders
-above 2^16 (MAX_ORDER_LOG2) with BoundExceeded before building any element,
-and caches each inverse it has computed, at most one per element of the
-group, after checking that the element is in normal form.
+quotients.  PGroup and the quotient groups share one protocol: elements(),
+gens(), mul, inv, identity and check_element, with pow and comm from _Group.
+All operations are exact and exhaustive; PGroup refuses orders above 2^16
+(MAX_ORDER_LOG2) with BoundExceeded before building any element, and caches
+each inverse it has computed, at most one per element of the group, after
+checking that the element is in normal form.  `mul` checks only the upper
+bounds of the a3 and c13 exponents, since it is the hottest call; `inv`,
+`pow` and `subgroup` reject any element outside the group with
+GroupMismatch.
 """
 
 from __future__ import annotations
@@ -69,9 +74,11 @@ class GroupParams:
 
 
 class _Group:
-    """pow and comm for a group given by mul, inv and identity."""
+    """pow and comm for a group given by mul, inv, identity and
+    check_element."""
 
     def pow(self, x, k: int):
+        self.check_element(x)
         if k < 0:
             x, k = self.inv(x), -k
         r = self.identity
@@ -169,14 +176,22 @@ class PGroup(_Group):
                 v += b
         return (s1, s2, s3, (u + yu) & 1, (v + yv) % self.f2_mod)
 
+    def check_element(self, x) -> None:
+        """Raise GroupMismatch unless x is an exponent tuple in normal form."""
+        try:
+            e1, e2, e3, f1, f2 = x
+        except (TypeError, ValueError):
+            raise GroupMismatch(f"element outside group: {x}") from None
+        if not ({e1, e2, f1} <= {0, 1} and 0 <= e3 < self.e3_mod and 0 <= f2 < self.f2_mod):
+            raise GroupMismatch(f"element outside group: {x}")
+
     def inv(self, x: Element) -> Element:
         try:
             return self._inverses[x]
         except KeyError:
             pass
-        e1, e2, e3, f1, f2 = x
-        if not ({e1, e2, f1} <= {0, 1} and 0 <= e3 < self.e3_mod and 0 <= f2 < self.f2_mod):
-            raise GroupMismatch(f"element outside group: {x}")
+        self.check_element(x)
+        e1, e2, e3 = x[:3]
         s = (e1, e2, (-e3) % self.e3_mod, 0, 0)
         z = self.mul(x, s)
         xi = s[:3] + (z[3] & 1, (-z[4]) % self.f2_mod)
@@ -215,6 +230,11 @@ class TableGroup(_Group):
             return self._coset_of[self._group.inv(self._rep[c])]
         except KeyError:
             raise GroupMismatch(f"coset outside quotient: {c}") from None
+
+    def check_element(self, c) -> None:
+        """Raise GroupMismatch unless c is a coset of this quotient."""
+        if c not in self._rep:
+            raise GroupMismatch(f"coset outside quotient: {c}")
 
 
 def gamma(n: int, m: int, eps: int) -> PGroup:
@@ -283,7 +303,9 @@ def subgroup(group, seeds, conj_gens=()) -> Subgroup:
     A seed or conjugate becomes a generator, and extends the span by one
     coset step, only when it falls outside the span so far; each one at
     least doubles the span, so there are at most log2 of the order
-    generators."""
+    generators.  A seed outside the group raises GroupMismatch before it
+    extends the span, and so does a conjugator, in inv: mul alone would not
+    stop a span that grows without end."""
     conj_by = [(group.inv(y), y) for y in conj_gens]
     sub = Subgroup(group, frozenset({group.identity}), ())
     todo = list(seeds)
@@ -291,6 +313,7 @@ def subgroup(group, seeds, conj_gens=()) -> Subgroup:
         x = todo.pop()
         if x in sub.elements:
             continue
+        group.check_element(x)
         sub = _extend(sub, x)
         todo.extend(group.mul(group.mul(yi, x), y) for yi, y in conj_by)
     return sub
@@ -332,20 +355,35 @@ def derived_subgroup(h: Subgroup) -> Subgroup:
 
 
 def frattini_subgroup(h: Subgroup) -> Subgroup:
-    """Frattini subgroup of a 2-group, h^2 [h, h]: the normal closure of the
-    squares and pairwise commutators of h's generators."""
+    """Frattini subgroup of a 2-group, h' h^2 = <h', squares of h's
+    generators> (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 3.3): h's kept derived subgroup, extended by each square outside
+    the span so far.  It is normal in h because it contains h'."""
     g = h.group
-    gens = h.generators
-    seeds = [g.mul(x, x) for x in gens]
-    seeds += [g.comm(x, y) for x, y in itertools.combinations(gens, 2)]
-    return subgroup(g, seeds, gens)
+    phi = h.derived
+    for x in h.generators:
+        sq = g.mul(x, x)
+        if sq not in phi.elements:
+            phi = _extend(phi, sq)
+    return phi
 
 
 def centre(group) -> Subgroup:
-    els = group.elements()
+    """The centre, with one element tested against the generators per coset
+    x Z of the centre Z found so far: a central x extends Z, and a
+    non-central x rules out all of x Z."""
     gens = group.gens()
-    cen = [x for x in els if all(group.mul(x, g) == group.mul(g, x) for g in gens)]
-    return subgroup(group, cen)
+    cen = subgroup(group, ())
+    seen = set(cen.elements)
+    for x in group.elements():
+        if x in seen:
+            continue
+        if all(group.mul(x, y) == group.mul(y, x) for y in gens):
+            cen = _extend(cen, x)
+            seen.update(cen.elements)
+        else:
+            seen.update(group.mul(x, z) for z in cen.elements)
+    return cen
 
 
 def lower_central_series(h: Subgroup) -> list[Subgroup]:
@@ -457,9 +495,9 @@ def _hyperplane_preimage(phi: Subgroup, basis, labelled, w: int) -> Subgroup:
             gens.append(b)
         elif j != i0:
             gens.append(g.mul(basis[i0], b))
-    members = frozenset(
-        y for s, ys in enumerate(labelled) if bin(s & w).count("1") % 2 == 0 for y in ys
-    )
+    members = frozenset(itertools.chain.from_iterable(
+        ys for s, ys in enumerate(labelled) if bin(s & w).count("1") % 2 == 0
+    ))
     return Subgroup(g, members, tuple(gens))
 
 
@@ -518,31 +556,43 @@ def subgroups_of_index4(group, maximals) -> list[tuple[Subgroup, bool]]:
 def transfer_values(K: Subgroup, H: Subgroup, xs) -> list:
     """Representatives of t_{K,H}(x K') modulo H' for each x in xs, with
     (K:H) = 2 and z the least element of K outside H: x^2 [x, z] for x in H,
-    x^2 otherwise."""
+    x^2 otherwise.  x^2 [x, z] is computed as x z^-1 x z, three products
+    with z^-1 taken once."""
     g = K.group
     if not H.elements <= K.elements or 2 * H.order != K.order:
         raise IndexNotTwo("H must have index 2 in K")
-    z = min(y for y in K.elements if y not in H.elements)
+    z = min(K.elements - H.elements)
+    zi = g.inv(z)
     out = []
     for x in xs:
         if x not in K.elements:
             raise ElementOutsideK(f"{x} is not in the source subgroup")
-        sq = g.mul(x, x)
-        out.append(g.mul(sq, g.comm(x, z)) if x in H.elements else sq)
+        if x in H.elements:
+            out.append(g.mul(g.mul(g.mul(x, zi), x), z))
+        else:
+            out.append(g.mul(x, x))
     return out
 
 
 def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
     """Kernels of the induced maps K/K' -> H/H', one per H of index 2 in K
-    in `targets`, from one K' and one transversal of K' in K.
+    in `targets`, from one K' and one transversal of K' in K: the first
+    element met of each coset, in K's own order.
 
     Each kernel comes as (order, ker): ker is its preimage in K, spanned by
     K' and the transversal elements whose transfer lies in H', and order is
-    the number of cosets of K' in ker.
+    the number of cosets of K' in ker.  The kernel is the union of the
+    cosets whose value lies in H', so it does not depend on which
+    representatives the transversal takes.
     """
     g = K.group
     kprime = K.derived
-    reps = list(cosets(g, K.elements, kprime.elements))
+    reps = []
+    seen = set()
+    for x in K.elements:
+        if x not in seen:
+            reps.append(x)
+            seen.update(g.mul(x, w) for w in kprime.elements)
     out = []
     for H in targets:
         hprime = H.derived.elements

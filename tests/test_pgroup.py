@@ -147,14 +147,32 @@ def test_mul_range_guard():
         g.mul((0, 0, 7, 0, 0), g.identity)
 
 
-@pytest.mark.parametrize("x", [(3, 0, 0, 5, -2), (0, 0, -1, 0, 0), (0, 2, 0, 0, 0),
-                               (0, 0, 0, 2, 0), (0, 0, 0, 0, -1), (0, 0, 4, 0, 0)])
+_OUTSIDE_NORMAL_FORM = [(3, 0, 0, 5, -2), (0, 0, -1, 0, 0), (0, 2, 0, 0, 0),
+                        (0, 0, 0, 2, 0), (0, 0, 0, 0, -1), (0, 0, 4, 0, 0)]
+
+
+@pytest.mark.parametrize("x", _OUTSIDE_NORMAL_FORM)
 def test_inv_rejects_exponents_outside_normal_form(x):
     g = gamma(2, 2, 1)
     g.inv(g.a3)
     with pytest.raises(GroupMismatch):
         g.inv(x)
     assert len(g._inverses) == 1
+
+
+@pytest.mark.parametrize("x", _OUTSIDE_NORMAL_FORM + [(0, 0, 0, 0), "a1"])
+def test_spans_and_powers_reject_elements_outside_the_group(x):
+    # mul checks only the upper bounds of e3 and f2, so a span seeded with
+    # (0, 0, -1, 0, 0) would grow without end, and its cube would be
+    # (0, 0, -3, 0, 0).
+    g = gamma(2, 2, 1)
+    with pytest.raises(GroupMismatch):
+        subgroup(g, [g.a1, x])
+    with pytest.raises(GroupMismatch):
+        subgroup(g, [g.a1], [g.a2, x])
+    for k in (-1, 0, 3):
+        with pytest.raises(GroupMismatch):
+            g.pow(x, k)
 
 
 def test_element_orders_and_centre():
@@ -314,6 +332,18 @@ def test_transfer_kernel_against_definition():
                 assert ker.elements == expected
                 assert order == ker.order // kprime.order
                 _assert_small_generating_set(ker)
+
+
+def test_transfer_values_against_definition():
+    for g in _small_groups():
+        top = whole_group(g)
+        for K in [top] + maximal_subgroups(top):
+            xs = list(K.elements)
+            for H in maximal_subgroups(K):
+                hprime = H.derived.elements
+                for x, value in zip(xs, transfer_values(K, H, xs)):
+                    expected = _transfer_by_definition(K, H, x)
+                    assert g.mul(g.inv(expected), value) in hprime
 
 
 def test_quotient_group():
@@ -526,11 +556,15 @@ def test_subgroups_against_definitions():
             der = derived_subgroup(sub)
             _assert_small_generating_set(der)
             assert der.elements == _reference_closure(g, _commutators_of_all_pairs(sub))
-        phi = frattini_subgroup(top)
-        _assert_small_generating_set(phi)
-        assert phi.elements == _reference_closure(g, {g.mul(x, x) for x in top.elements})
-        _assert_small_generating_set(centre(g))
+        cen = centre(g)
+        _assert_small_generating_set(cen)
+        assert cen.elements == {
+            x for x in top.elements if all(g.mul(x, y) == g.mul(y, x) for y in top.elements)
+        }
         for h in [top] + maximal_subgroups(top):
+            phi = frattini_subgroup(h)
+            _assert_small_generating_set(phi)
+            assert phi.elements == _reference_closure(g, {g.mul(x, x) for x in h.elements})
             series = lower_central_series(h)
             for cur, nxt in zip(series, series[1:]):
                 _assert_small_generating_set(nxt)
@@ -658,6 +692,13 @@ def test_quotient_rejects_foreign_cosets():
         q.mul(q.identity, g.identity)
     with pytest.raises(GroupMismatch):
         q.inv(g.identity)
+    for foreign in (frozenset(), g.identity):
+        with pytest.raises(GroupMismatch):
+            subgroup(q, [foreign])
+        with pytest.raises(GroupMismatch):
+            subgroup(q, [q.identity], [foreign])
+        with pytest.raises(GroupMismatch):
+            q.pow(foreign, 0)
 
 
 def test_cached_inverses_match_fresh_groups():

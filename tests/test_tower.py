@@ -164,8 +164,9 @@ def test_crosscheck_builds_each_class_group_once(monkeypatch):
 
 
 def test_crosscheck_derives_and_builds_each_subgroup_once(monkeypatch):
-    # One labelling pass over Gamma gives H_1..H_7 and Phi(G), whose only span
-    # is the pass's own normal closure; H_1 cap H_2 is one coset step over it.
+    # One labelling pass over Gamma gives H_1..H_7 and Phi(G), which is G'
+    # (derived once and kept) extended by one square without a span of its
+    # own; H_1 cap H_2 is one coset step over it.
     # One transfer-kernel pass from Gamma over H_1..H_7 and one from H_2 to
     # H_1 cap H_2 derive G', H_1'..H_7' and (H_1 cap H_2)': each Subgroup
     # keeps its derived subgroup, so H_2' is derived once for both passes.
@@ -200,7 +201,7 @@ def test_crosscheck_derives_and_builds_each_subgroup_once(monkeypatch):
     phi = real_subgroup(g, [g.mul(g.a3, g.a3), g.c12, g.c13])
     inter = real_subgroup(g, [g.a2, g.mul(g.a3, g.a3), g.c12, g.c13])
     assert spans[h1.elements] == spans[h2.elements] == spans[inter.elements] == 0
-    assert spans[phi.elements] == 1
+    assert spans[phi.elements] == 0
 
 
 @pytest.fixture(scope="module")
