@@ -5,7 +5,10 @@ and the two-sided cross-checks between class-field data and the group engine.
 from __future__ import annotations
 
 import os
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 from math import isqrt
 
 from .arith import (
@@ -347,7 +350,7 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     return replace(report, checks=tuple(checks))
 
 
-def _scan_chunk(args: tuple[int, int, int]) -> list[TowerReport]:
+def _scan_chunk(lo: int, hi: int, bound: int) -> list[TowerReport]:
     """The Type4p/Type4r fields with lo <= d <= hi, in descending d order.
 
     A field of the family has d = -4pqq' with three distinct odd primes,
@@ -356,7 +359,6 @@ def _scan_chunk(args: tuple[int, int, int]) -> list[TowerReport]:
     so the walk visits only that residue class and hands each d to the
     family matcher, which factors -d/4 only until it can reject it.
     """
-    lo, hi, bound = args
     out = []
     for d in range(hi - (hi - 12) % 16, lo - 1, -16):
         cls = _try_4pqr(d)
@@ -371,6 +373,93 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
+# The schedule is cut into at most this many tickets of 2 bytes each, so that
+# all of them fit the smallest pipe Linux makes (one 4 KiB page, PIPE_BUF) and
+# one write fills the ticket pipe before any fork without blocking.
+_MAX_TICKETS = 2048
+
+
+def _forked_results(units: list, schedule: list[int],
+                    workers: int = _MAX_TICKETS) -> Callable[[int], object]:
+    """The function i -> units[i](), with the units of the schedule run
+    ahead on the usable CPUs, at most `workers` of them.
+
+    With one such CPU or one ticket, or with another thread running (a
+    child forked from a threaded process can block on a lock that thread
+    held), nothing runs ahead and each unit runs here when it is asked for.
+    Otherwise the schedule is cut into tickets, the tickets are written to a
+    pipe, and one child fewer than the CPUs is forked; this process and
+    every child take the next ticket until none is left.  Each child pickles
+    its (index, result) pairs back over its own pipe and leaves by os._exit.
+    A unit that raised, or whose child died, runs again here when it is
+    asked for, so that it raises here.  Every child is reaped before this
+    returns or raises."""
+    step = -(-len(schedule) // _MAX_TICKETS)
+    slices = [schedule[k : k + step] for k in range(0, len(schedule), step)]
+    workers = min(_usable_cpus(), len(slices), workers)
+    # threading counts the threads started through it; unimported, none were.
+    threads = sys.modules.get("threading")
+    if workers < 2 or threads and threads.active_count() > 1:
+        return lambda i: units[i]()
+    import pickle
+
+    tickets, fill = os.pipe()
+    os.write(fill, b"".join(k.to_bytes(2, "little") for k in range(len(slices))))
+    os.close(fill)
+
+    def work() -> dict[int, object]:
+        done = {}
+        while ticket := os.read(tickets, 2):
+            for i in slices[int.from_bytes(ticket, "little")]:
+                try:
+                    done[i] = units[i]()
+                except Exception:
+                    pass
+        return done
+
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                try:
+                    for fd in (r, *children.values()):
+                        os.close(fd)
+                    with os.fdopen(w, "wb") as out:
+                        pickle.dump(list(work().items()), out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children[pid] = r
+        done = work()
+        for r in children.values():
+            with os.fdopen(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                done.update(pickle.loads(data))
+            except Exception:
+                pass  # the child died before it wrote all its results
+        return lambda i: done[i] if i in done else units[i]()
+    finally:
+        # On the way out by an exception: no ticket is left to take, and a
+        # child writing its results finds its pipe closed.
+        while os.read(tickets, 4096):
+            pass
+        os.close(tickets)
+        for pid, r in children.items():
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
+_SCAN_WINDOW = 16384  # a multiple of 16: 1024 d = 12 (mod 16) in each full window
+
+
 def scan(
     lo: int,
     hi: int,
@@ -383,28 +472,27 @@ def scan(
     `_try_4pqr` how far each -d/4 is factored.  A window whose |lo| / 4 is
     above arith.DEFAULT_FACTOR_BOUND raises BoundExceeded before any d is
     examined, and so does one whose |lo| is above the enumeration bound
-    `bound`.  The result is deterministic and independent of the worker
-    count, which is capped at the number of usable CPUs.
+    `bound`; workers < 1 raises InvalidArgument.  More workers cut [lo, hi]
+    into _SCAN_WINDOW-wide windows, run as units by criterion 10's runner
+    (_forked_results) on at most `workers` usable CPUs and joined in window
+    order, so the rows do not depend on the worker or CPU count; a window
+    that raised runs again here, and raises here.  The runner only forks:
+    without sched_getaffinity (macOS, Windows), or beside another running
+    thread, the windows run in a plain loop here.
     """
     if not (lo < hi <= -1):
         raise InvalidArgument(f"need lo < hi <= -1, got [{lo}, {hi}]")
+    if workers < 1:
+        raise InvalidArgument(f"need workers >= 1, got {workers}")
     if -lo // 4 > DEFAULT_FACTOR_BOUND:
         raise BoundExceeded(
             f"|{lo}| / 4 exceeds factoring bound {DEFAULT_FACTOR_BOUND}"
         )
     if -lo > bound:
         raise BoundExceeded(f"|{lo}| exceeds enumeration bound {bound}")
-    workers = min(workers, _usable_cpus())
-    if workers <= 1:
-        return _scan_chunk((lo, hi, bound))
-    span = hi - lo + 1
-    step = max(1, (span + workers - 1) // workers)
-    # Disjoint descending chunks; map keeps their order, so the joined
-    # parts are already in descending d order.
-    chunks = [(max(lo, top - step + 1), top, bound) for top in range(hi, lo - 1, -step)]
-    # Imported here: the pool costs about 2 MB of memory in every process
-    # that imports quadtower, and only a multi-worker scan uses it.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for part in pool.map(_scan_chunk, chunks) for r in part]
+    if workers == 1:
+        return _scan_chunk(lo, hi, bound)
+    units = [partial(_scan_chunk, max(lo, top - _SCAN_WINDOW + 1), top, bound)
+             for top in range(hi, lo - 1, -_SCAN_WINDOW)]
+    result = _forked_results(units, list(range(len(units))), workers)
+    return [r for i in range(len(units)) for r in result(i)]

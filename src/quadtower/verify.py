@@ -10,9 +10,7 @@ invariant can separate them); these are reported but not counted as failures.
 from __future__ import annotations
 
 import math
-import os
 import random
-import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -51,7 +49,7 @@ from .quadforms import (
 )
 from .tower import (
     Check,
-    _usable_cpus,
+    _forked_results,
     classify,
     corollary2_closed_forms,
     corollary2_engine,
@@ -386,88 +384,6 @@ def criterion_crosschecks() -> CriterionResult:
     return res
 
 
-# The schedule is cut into at most this many tickets of 2 bytes each, so that
-# all of them fit the smallest pipe Linux makes (one 4 KiB page, PIPE_BUF) and
-# one write fills the ticket pipe before any fork without blocking.
-_MAX_TICKETS = 2048
-
-
-def _forked_results(units: list, schedule: list[int]) -> dict[int, object]:
-    """{i: units[i]()} for the units that ran to a result on the usable CPUs.
-
-    With one usable CPU or one ticket, or with another thread running (a
-    child forked from a threaded process can block on a lock that thread
-    held), nothing runs here and {} is returned.  Otherwise the schedule is
-    cut into tickets, the tickets are written to a pipe, and one child fewer
-    than the usable CPUs is forked; this process and every child take the
-    next ticket until none is left.  Each child pickles its (index, result)
-    pairs back over its own pipe and leaves by os._exit.  A unit that raised,
-    or whose child died, is missing from the dict; the caller runs it again
-    itself, so that it raises there.  Every child is reaped before this
-    returns or raises."""
-    step = -(-len(schedule) // _MAX_TICKETS)
-    slices = [schedule[k : k + step] for k in range(0, len(schedule), step)]
-    workers = min(_usable_cpus(), len(slices))
-    # threading counts the threads started through it; unimported, none were.
-    threads = sys.modules.get("threading")
-    if workers < 2 or threads and threads.active_count() > 1:
-        return {}
-    import pickle
-
-    tickets, fill = os.pipe()
-    os.write(fill, b"".join(k.to_bytes(2, "little") for k in range(len(slices))))
-    os.close(fill)
-
-    def work() -> dict[int, object]:
-        done = {}
-        while ticket := os.read(tickets, 2):
-            for i in slices[int.from_bytes(ticket, "little")]:
-                try:
-                    done[i] = units[i]()
-                except Exception:
-                    pass
-        return done
-
-    children: dict[int, int] = {}  # pid -> read end of its result pipe
-    try:
-        for _ in range(workers - 1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                try:
-                    for fd in (r, *children.values()):
-                        os.close(fd)
-                    with os.fdopen(w, "wb") as out:
-                        pickle.dump(list(work().items()), out)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children[pid] = r
-        done = work()
-        for r in children.values():
-            with os.fdopen(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            try:
-                done.update(pickle.loads(data))
-            except Exception:
-                pass  # the child died before it wrote all its results
-        return done
-    finally:
-        # On the way out by an exception: no ticket is left to take, and a
-        # child writing its results finds its pipe closed.
-        while os.read(tickets, 4096):
-            pass
-        os.close(tickets)
-        for pid, r in children.items():
-            os.close(r)
-            os.waitpid(pid, 0)
-
-
 def _presentation_failures(build, *args, seed: int) -> list[str]:
     return verify_presentation(build(*args), seed=seed)["failures"]
 
@@ -536,13 +452,12 @@ def criterion_oracles(
     where the characters do not multiply to +1.  This process first builds
     every class group, the survey's extra ones included, and draws each d's
     10 associativity triples with rng.choice, as indices into its classes.
-    On Linux the units then run on every usable CPU (tower._usable_cpus):
-    forked children and this process pull them in the order presentations
-    first, then d by descending class number, then the survey.  The results
-    are merged in list order, where the axiom failures stop after the first
-    d that takes them past 10; a unit that raised or whose child died is run
-    again here at its place, so the checks, and any error raised, are the
-    same as with one CPU, where the units run in a plain loop in list order.
+    On Linux the units then run ahead on every usable CPU, on the fork
+    runner tower._forked_results, in the order presentations first, then d
+    by descending class number, then the survey.  Their results are read in
+    list order, where the axiom failures stop after the first d that takes
+    them past 10, so the checks, and any error raised, are the same as with
+    one CPU, where each unit runs here when it is read.
 
     Per d, the classes are indexed once and _group_law_failures fills an
     h x h table of product indices, None marking a product outside the
@@ -591,11 +506,7 @@ def criterion_oracles(
 
     schedule = list(range(len(names))) + sorted(sizes, key=sizes.get, reverse=True)
     schedule += range(first_survey, len(units))
-    done = _forked_results(units, schedule)
-
-    def result(i):
-        return done[i] if i in done else units[i]()
-
+    result = _forked_results(units, schedule)
     for i, name in enumerate(names):
         res.checks.append(Check(name, [], result(i)))
     axiom_failures: list[str] = []

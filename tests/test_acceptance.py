@@ -16,7 +16,7 @@ import types
 
 import pytest
 
-from quadtower import pgroup, verify
+from quadtower import pgroup, tower, verify
 from quadtower.arith import is_fundamental
 from quadtower.errors import StructureMismatch
 from quadtower.quadforms import QuadForm
@@ -180,7 +180,7 @@ def test_criterion_oracles_bench_call_draws_pinned(monkeypatch, seed):
 
     for module in (pgroup, verify):
         monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=Recording))
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(tower, "_usable_cpus", lambda: 1)
     result = criterion_oracles(grid=1, disc_limit=800, character_limit=300, seed=seed)
     assert [c.name for c in result.checks] == [
         "presentation-4r(2)", "presentation-4r(3)", "presentation-4r(4)",
@@ -205,7 +205,7 @@ def _on_cpus(monkeypatch, cpus, expected_forks=None, **limits):
         return pid
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "_usable_cpus", lambda: cpus)
+        patch.setattr(tower, "_usable_cpus", lambda: cpus)
         patch.setattr(os, "fork", counting_fork)
         result = criterion_oracles(**limits)
     assert len(forks) == (cpus - 1 if expected_forks is None else expected_forks)
@@ -289,7 +289,7 @@ def test_criterion_oracles_forked_raises_the_inline_error(monkeypatch):
 
     monkeypatch.setattr(verify, "compose", raising)
     for cpus in (1, 3):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(tower, "_usable_cpus", lambda: cpus)
         with pytest.raises(StructureMismatch, match="^-23 stub$"):
             criterion_oracles(**BENCH_LIMITS)
         with pytest.raises(ChildProcessError):
@@ -310,7 +310,7 @@ def test_criterion_oracles_reaps_its_children_when_interrupted(monkeypatch):
 
     for name in ("_presentation_failures", "_group_law_failures"):
         monkeypatch.setattr(verify, name, interruptible(getattr(verify, name)))
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(tower, "_usable_cpus", lambda: 3)
     with pytest.raises(KeyboardInterrupt):
         criterion_oracles(**BENCH_LIMITS)
     with pytest.raises(ChildProcessError):

@@ -185,6 +185,14 @@ def test_scan_above_factor_bound_exit1(capsys):
     assert err == "error: |-4398046511168| / 4 exceeds factoring bound 1099511627776\n"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_scan_worker_count_below_1_exit1(capsys, workers):
+    code, out, err = run(capsys, "--workers", workers, "scan", "-3000", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: need workers >= 1, got {workers}\n"
+
+
 def test_scan_unwritable_csv_exit1(capsys, monkeypatch, tmp_path):
     # A scan that fails after its --csv file is opened leaves the file as it was.
     kept = tmp_path / "kept.csv"

@@ -20,10 +20,13 @@ import time
 from quadtower.cli import main
 
 PINS = [
-    # The family scans, to 10^6 and 10^7, and the window just below 10^7.
+    # The family scans, to 10^6 (in one process and on the fork runner, with
+    # the same digest) and 10^7, and the window just below 10^7.
     ("--format csv scan -60000 -1",
      "dfc62dd7e4a437068010398e98a87631befa4cf48b394dfc0472d49a560d0db3", "fast"),
     ("--format csv scan -1000000 -1",
+     "aed819627b06df6982bafa86723d6d78ca317b0539aa753b9f749833bd87ae99", "fast"),
+    ("--workers 2 --format csv scan -1000000 -1",
      "aed819627b06df6982bafa86723d6d78ca317b0539aa753b9f749833bd87ae99", "fast"),
     ("--format csv scan -10000000 -9980000",
      "19a08108f7c3fc7896e54bd8946fef0ebee3b83b67a92c493f1df7673e37ef3b", "fast"),

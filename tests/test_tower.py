@@ -1,10 +1,10 @@
 """Field classification, invariants, predictions, cross-checks, scans."""
 
-import concurrent.futures
 import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -14,8 +14,10 @@ from quadtower import pgroup, quadforms, tower
 from quadtower.arith import is_fundamental
 from quadtower.errors import (
     BoundExceeded,
+    InvalidArgument,
     NotFundamental,
     NotImaginary,
+    StructureMismatch,
     UnsupportedKind,
 )
 from quadtower.quadforms import AbelianType
@@ -138,10 +140,10 @@ def test_scan_empty():
         scan(-1, -10)
 
 
-def test_scan_parallel_deterministic():
-    serial = scan(-8000, -1)
-    parallel = scan(-8000, -1, workers=3)
-    assert [(r.d, r.n, r.m) for r in serial] == [(r.d, r.n, r.m) for r in parallel]
+def test_scan_refuses_a_worker_count_below_1():
+    for workers in (0, -3):
+        with pytest.raises(InvalidArgument, match=f"^need workers >= 1, got {workers}$"):
+            scan(-3000, -1, workers=workers)
 
 
 def test_crosscheck_builds_each_class_group_once(monkeypatch):
@@ -217,27 +219,23 @@ def family_below_1e5():
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """3 usable CPUs and a process pool that maps in-process; the list records
-    the max_workers of every pool made."""
-    requested = []
+def forks(monkeypatch):
+    """3 usable CPUs and a counted os.fork; the list records the pid of every
+    child forked, and no child may be left when the test ends."""
+    pids = []
+    real_fork = os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(tower, "_usable_cpus", lambda: 3)
-    return requested
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _rows(reports):
@@ -250,6 +248,11 @@ def _rows(reports):
 def test_scan_matches_exhaustive_classification(family_below_1e5):
     assert len(family_below_1e5) == 107
     assert _rows(scan(-100000, -1)) == family_below_1e5
+    # Two workers on the CPUs this process may really use: under taskset -c 0
+    # the windows run in a plain loop here.
+    assert _rows(scan(-100000, -1, workers=2)) == family_below_1e5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -260,12 +263,57 @@ def test_scan_matches_exhaustive_classification(family_below_1e5):
         (-2600, -2230), (-2596, -2565),
     ],
 )
-def test_scan_boundary_windows(family_below_1e5, serial_pool, lo, hi):
+def test_scan_boundary_windows(family_below_1e5, forks, lo, hi):
     expected = [row for row in family_below_1e5 if lo <= row[0] <= hi]
     assert _rows(scan(lo, hi)) == expected
-    # Three chunks whose own bounds are not 12 mod 16.
+    # One window: there is nothing to fork.
     assert _rows(scan(lo, hi, workers=3)) == expected
-    assert serial_pool == [3]
+    assert forks == []
+
+
+def test_scan_parallel_deterministic(family_below_1e5, forks, monkeypatch):
+    # Seven windows, none of whose own bounds is 12 mod 16, on 3 processes.
+    bounds = []
+    real = tower._forked_results
+
+    def recording(units, schedule, workers):
+        bounds.extend(unit.args[:2] for unit in units)
+        return real(units, schedule, workers)
+
+    monkeypatch.setattr(tower, "_forked_results", recording)
+    assert _rows(scan(-100000, -1, workers=3)) == family_below_1e5
+    assert len(forks) == 2
+    assert bounds[:2] == [(-16384, -1), (-32768, -16385)]
+    assert bounds[-1] == (-100000, -98305) and len(bounds) == 7
+    assert all(b % 16 != 12 for pair in bounds for b in pair)
+
+
+def test_scan_forked_raises_the_error_of_a_childs_window(forks, monkeypatch, tmp_path):
+    # The first d a child examines raises there, and again wherever it is
+    # examined; this process holds its own first d until a child has raised,
+    # so the error it raises is that of a window a child ran.
+    parent, first = os.getpid(), tmp_path / "first"
+    real = tower._try_4pqr
+
+    def raising(d):
+        if os.getpid() != parent:
+            try:
+                with open(first, "x") as fh:
+                    fh.write(str(d))
+            except FileExistsError:
+                pass
+        deadline = time.monotonic() + 30
+        while not first.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if first.read_text() == str(d):
+            raise StructureMismatch(f"{d} stub")
+        return real(d)
+
+    monkeypatch.setattr(tower, "_try_4pqr", raising)
+    with pytest.raises(StructureMismatch) as excinfo:
+        scan(-100000, -1, workers=3)
+    assert len(forks) == 2
+    assert str(excinfo.value) == f"{first.read_text()} stub"
 
 
 def test_scan_visits_only_12_mod_16(monkeypatch):
@@ -281,24 +329,27 @@ def test_scan_visits_only_12_mod_16(monkeypatch):
     assert visited == [d for d in range(-2230, -2601, -1) if d % 16 == 12]
 
 
-def test_scan_workers_capped_at_cpu_count(serial_pool):
-    serial = scan(-8000, -1)
-    assert serial_pool == []
-    assert _rows(scan(-8000, -1, workers=100000)) == _rows(serial)
-    assert serial_pool == [3]
+def test_scan_workers_capped_at_cpu_count(forks):
+    # Four windows, on at most `workers` of the 3 usable CPUs.
+    serial = _rows(scan(-50000, -1, workers=1))
+    assert forks == []
+    assert _rows(scan(-50000, -1, workers=2)) == serial
+    assert len(forks) == 1
+    assert _rows(scan(-50000, -1, workers=100000)) == serial
+    assert len(forks) == 3
 
 
-def test_scan_workers_capped_at_usable_cpus(serial_pool, monkeypatch):
+def test_scan_workers_capped_at_usable_cpus(forks, monkeypatch):
     # os.cpu_count() counts CPUs this process may not run on (taskset).
     monkeypatch.setattr(tower, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(tower.os, "cpu_count", lambda: 4)
-    assert _rows(scan(-8000, -1, workers=4)) == _rows(scan(-8000, -1))
-    assert serial_pool == []
+    assert _rows(scan(-50000, -1, workers=4)) == _rows(scan(-50000, -1))
+    assert forks == []
 
 
 def test_import_does_not_load_the_process_pool():
-    # The pool module is imported only by a scan with more than one worker,
-    # and pickle only by criterion 10 when it forks.
+    # pickle is imported only by the fork runner when it forks, and no
+    # process pool is imported at all, not even by a forked scan.
     src = os.path.dirname(os.path.dirname(os.path.abspath(tower.__file__)))
     code = (
         "import importlib, pkgutil, sys, quadtower\n"
@@ -306,13 +357,17 @@ def test_import_does_not_load_the_process_pool():
         "for name in names:\n"
         "    importlib.import_module('quadtower.' + name)\n"
         "heavy = ('concurrent.futures.process', 'multiprocessing', 'pickle')\n"
-        "print(len(names), [m for m in heavy if m in sys.modules])"
+        "print(len(names), [m for m in heavy if m in sys.modules])\n"
+        "from quadtower import tower\n"
+        "tower._usable_cpus = lambda: 2\n"
+        "assert tower.scan(-100000, -1, workers=2) == tower.scan(-100000, -1)\n"
+        "print([m for m in heavy + ('concurrent.futures',) if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, env=dict(os.environ, PYTHONPATH=src), check=True,
     )
-    assert proc.stdout.decode().strip() == "9 []"
+    assert proc.stdout.decode().split("\n") == ["9 []", "['pickle']", ""]
 
 
 def _reference_4pqr(d):
