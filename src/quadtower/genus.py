@@ -155,7 +155,7 @@ def lemma1_check(
         raise PreconditionViolated(f"case must be 1 or 2, got {case}")
     h2 = wide_h2(disc, bound)
     form = prime_form(disc, ell)
-    principal = is_principal(disc, form, narrow=False)
+    principal = is_principal(disc, form)
     return Lemma1Report(
         case=case,
         discriminant=disc,

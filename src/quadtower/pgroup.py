@@ -681,24 +681,36 @@ def distinguish(g1, g2) -> str:
 # Triples drawn by the sampled associativity and Hall-Witt checks.
 _ASSOC_SAMPLES = 10**4
 _WITT_SAMPLES = 2000
-# Largest group whose Cayley table the sampled checks read: its 65,536
+# Largest group whose Cayley table verify_presentation fills: its 65,536
 # entries are fewer than the 132,000 products the samples make.
 _TABLE_MAX_ORDER = 256
 
 
-def _cayley_table(g, els):
-    """(rows, inverse, identity) over the indices of els: rows[i][j] is the
-    index of els[i] * els[j] and inverse[i] that of els[i]^-1, each filled
-    once by g.mul and g.inv, and identity the index of g.identity.  A product,
-    inverse or identity outside els is None."""
-    index = {x: i for i, x in enumerate(els)}.get
-    rows = [list(map(index, map(g.mul, itertools.repeat(x), els))) for x in els]
-    return rows, list(map(index, map(g.inv, els))), index(g.identity)
+def _product_rows(mul, els, index):
+    """The rows of the Cayley table over els, computed on demand: rows[i][j]
+    is index[els[i] * els[j]], one mul call per read, and reading a product
+    that is not in index raises GroupMismatch."""
+
+    class Row:
+        __slots__ = ("x",)
+
+        def __init__(self, x):
+            self.x = x
+
+        # mul, els and get are bound here: locals read faster than globals
+        # or attributes on the sampled checks' hot path.
+        def __getitem__(self, j, mul=mul, els=els, get=index.get):
+            i = get(mul(self.x, els[j]))
+            if i is None:
+                raise GroupMismatch(f"product outside group: {self.x} * {els[j]}")
+            return i
+
+    return list(map(Row, els))
 
 
-def _associativity_table_sample(rng, t, count: int) -> bool:
-    """_associativity_sample over the rows t of a Cayley table: the same
-    triples, each product one lookup."""
+def _associativity_sample(rng, t, count: int) -> bool:
+    """(xy)z == x(yz) on count triples of indices drawn in one call, each
+    product read off the table rows t."""
     draw = iter(rng.choices(range(len(t)), k=3 * count))
     for x, y, z in zip(draw, draw, draw):
         if t[t[x][y]][z] != t[x][t[y][z]]:
@@ -706,11 +718,12 @@ def _associativity_table_sample(rng, t, count: int) -> bool:
     return True
 
 
-def _witt_table_sample(rng, t, inv, ident, count: int) -> bool:
-    """_witt_sample over the rows t and inverse list inv of a Cayley table:
-    the same triples and the same products in the same order, with comm(u, v)
-    written out as t[t[inv[u]][inv[v]]][t[u][v]] and conj(u, v) as
-    t[t[inv[v]][u]][v]."""
+def _witt_sample(rng, t, inv, ident, count: int) -> bool:
+    """The Hall-Witt identity, and the Witt word being trivial (true in a
+    metabelian group), on count triples of indices drawn in one call, over
+    the table rows t, the inverse indices inv and the identity index ident.
+    comm(u, v) = u^-1 v^-1 u v is written out as t[t[inv[u]][inv[v]]][t[u][v]]
+    and conj(u, v) = v^-1 u v as t[t[inv[v]][u]][v]."""
     draw = iter(rng.choices(range(len(t)), k=3 * count))
     for x, y, z in zip(draw, draw, draw):
         ix, iy, iz = inv[x], inv[y], inv[z]
@@ -739,39 +752,6 @@ def _witt_table_sample(rng, t, inv, ident, count: int) -> bool:
     return True
 
 
-def _associativity_sample(rng, points, mul, count: int) -> bool:
-    """(xy)z == x(yz) on count triples drawn from points in one call."""
-    draw = iter(rng.choices(points, k=3 * count))
-    for x, y, z in zip(draw, draw, draw):
-        if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            return False
-    return True
-
-
-def _witt_sample(rng, points, mul, inv, ident, count: int) -> bool:
-    """The Hall-Witt identity, and the Witt word being trivial (true in a
-    metabelian group), on count triples drawn from points in one call."""
-
-    def comm(x, y):
-        return mul(mul(inv(x), inv(y)), mul(x, y))
-
-    def conj(x, y):
-        return mul(mul(inv(y), x), y)
-
-    draw = iter(rng.choices(points, k=3 * count))
-    for x, y, z in zip(draw, draw, draw):
-        t1 = conj(comm(comm(x, inv(y)), z), y)
-        t2 = conj(comm(comm(y, inv(z)), x), z)
-        t3 = conj(comm(comm(z, inv(x)), y), x)
-        if mul(mul(t1, t2), t3) != ident:
-            return False
-        w = mul(mul(comm(comm(x, y), z), comm(comm(y, z), x)),
-                comm(comm(z, x), y))
-        if w != ident:
-            return False
-    return True
-
-
 def verify_presentation(g, seed: int = 0) -> dict:
     """Independent checks that the collection engine realizes the intended
     presentation: element count, identity, inverses, relations, closure,
@@ -781,17 +761,18 @@ def verify_presentation(g, seed: int = 0) -> dict:
 
     The two sampled checks draw 10^4 associativity triples of 4 products
     each and 2000 Hall-Witt triples of 46 products each, 132,000 products in
-    all.  For a group of order up to 256, whose Cayley table has fewer
-    entries than that, g.mul and g.inv fill the table once; a product,
-    inverse or identity outside g.elements() fails "closure", and otherwise
-    the samples read the table's index rows, so they see exactly the
-    engine's products with no call per product.  A larger group, or one that
-    fails closure, is sampled through g.mul, each product tested against one
-    frozenset of g.elements(): the first product outside it ends the
-    sampling, and the check it ended is not reported; on a larger group that
-    product fails "closure".  Each check draws all its triples with one
-    rng.choices call, over indices on the table path and over g.elements()
-    on the direct path, so a seed samples the same triples on both.
+    all.  They draw indices into g.elements(), and read each product off
+    rows of a Cayley table of indices, with the inverse and identity indices
+    taken once from one index of g.elements().  For a group of order up to
+    256, whose table has fewer entries than that, g.mul fills the table
+    once; a product, inverse or identity outside g.elements() fails
+    "closure", and otherwise the samples read the table, so they see exactly
+    the engine's products with no call per product.  A larger group, or one
+    that fails closure, is sampled through rows that call g.mul on each
+    read, in the same order for a seed: the first product outside
+    g.elements() ends the sampling, as an inverse outside it does before the
+    sampling starts, and the check it ended is not reported; on a larger
+    group that fails "closure".
     """
     report = {"order": None, "failures": [], "seed": seed}
     mul, inv, comm, gpow = g.mul, g.inv, g.comm, g.pow
@@ -830,38 +811,31 @@ def verify_presentation(g, seed: int = 0) -> dict:
         check("rel-c23", c23 == ident)
         check("rel-cijsq", gpow(c12, 2) == ident and gpow(c13, 2) == ident)
 
-    table = _cayley_table(g, els) if len(els) <= _TABLE_MAX_ORDER else None
-    if table is not None:
-        rows, tinv, tident = table
+    index = {x: i for i, x in enumerate(els)}
+    get = index.get
+    tinv = list(map(get, map(inv, els)))
+    tident = get(ident)
+    closed = False
+    if len(els) <= _TABLE_MAX_ORDER:
+        rows = [list(map(get, map(mul, itertools.repeat(x), els))) for x in els]
         closed = tident is not None and None not in tinv and not any(
             None in row for row in rows)
         check("closure", closed)
-        if not closed:
-            table = None
+    if not closed:
+        # Without a closed table, the sampled products are the closure check.
+        rows = _product_rows(mul, els, index)
     # Both samples run here, in draw order; the commutator identities draw
     # nothing, so the checks can still be reported in order.
     rng = random.Random(seed)
-    if table is not None:
-        assoc = _associativity_table_sample(rng, rows, _ASSOC_SAMPLES)
-        witt = _witt_table_sample(rng, rows, tinv, tident, _WITT_SAMPLES)
-    else:
-        # Without a table, the sampled products are the closure check.
-        members = frozenset(els)
-
-        def member_mul(x, y):
-            p = mul(x, y)
-            if p not in members:
-                raise GroupMismatch(f"product outside group: {x} * {y}")
-            return p
-
-        assoc = witt = None
+    assoc = witt = None
+    if None not in tinv:
         try:
-            assoc = _associativity_sample(rng, els, member_mul, _ASSOC_SAMPLES)
-            witt = _witt_sample(rng, els, member_mul, inv, ident, _WITT_SAMPLES)
+            assoc = _associativity_sample(rng, rows, _ASSOC_SAMPLES)
+            witt = _witt_sample(rng, rows, tinv, tident, _WITT_SAMPLES)
         except GroupMismatch:
             pass
-        if len(els) > _TABLE_MAX_ORDER:
-            check("closure", witt is not None)
+    if len(els) > _TABLE_MAX_ORDER:
+        check("closure", witt is not None)
     check("associativity-sample", assoc is not False)
 
     # Commutator identities on generators (metabelian form).

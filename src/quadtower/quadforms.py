@@ -593,23 +593,19 @@ def prime_form(d: int, ell: int) -> QuadForm:
     raise InertPrime(f"no form of discriminant {d} with leading coefficient {ell}")
 
 
-def is_principal(d: int, f: QuadForm, narrow: bool = True) -> bool:
-    """Principality of the class of f: reduce-and-compare for d < 0, principal
-    cycle membership (narrow) for d > 0; wide sense adds the (-1, b0, *) cycle."""
+def is_principal(d: int, f: QuadForm) -> bool:
+    """Principality of the class of f in the wide sense: reduce-and-compare
+    for d < 0.  For d > 0, the reduced form r = (a, b, c) of f, or its
+    negative (-a, b, -c), is in the principal cycle: the negative is reduced
+    too, and its narrow class is that of r times the class of (-1, b0, *),
+    so one cycle walk covers both narrow classes of the principal wide class."""
     if f.disc != d:
         raise DiscriminantMismatch(f"form discriminant {f.disc} != {d}")
     r = reduce_form(f)
     if d < 0:
         return r == reduce_form(principal_form(d))
-    p = reduce_form(principal_form(d))
-    cyc = set(_cycle(d, p))
-    if r in cyc:
-        return True
-    if narrow:
-        return False
-    b0 = p.b
-    neg = reduce_form(QuadForm(-1, b0, (d - b0 * b0) // 4))
-    return r in set(_cycle(d, neg))
+    cyc = set(_cycle(d, reduce_form(principal_form(d))))
+    return r in cyc or QuadForm(-r.a, r.b, -r.c) in cyc
 
 
 def fundamental_unit(d: int) -> Unit:

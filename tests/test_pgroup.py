@@ -1,7 +1,6 @@
 """The finite 2-group engine: collection, subgroups, transfers, invariants."""
 
 import itertools
-import random
 import re
 from pathlib import Path
 
@@ -420,7 +419,7 @@ def test_verify_presentation_table_and_engine_paths_agree(monkeypatch):
     products = _count_products(monkeypatch)
     table = verify_presentation(_CorruptedC12(params), seed=3)
     table_products = len(products)
-    monkeypatch.setattr(pgroup, "_cayley_table", lambda g, els: None)
+    monkeypatch.setattr(pgroup, "_TABLE_MAX_ORDER", 0)
     products.clear()
     engine = verify_presentation(_CorruptedC12(params), seed=3)
     assert table_products <= 70_000 < len(products)
@@ -466,45 +465,104 @@ def test_verify_presentation_direct_path_sees_a_product_outside_the_elements():
         assert report["failures"] == ["identity", "inverses", "closure", "generation"], seed
 
 
-def test_sampled_checks_draw_the_same_triples_on_both_paths():
-    # One seed feeds the same products, in the same order, to the check
-    # body over element tuples and over Cayley-table indices.
+def test_verify_presentation_sees_an_inverse_outside_the_elements():
+    # Gamma(3,3,1) (order 512) has no table, and g.inv sends a1 outside the
+    # group: the samples read inverse indices, so they do not start, and
+    # every seed fails "closure".
+    params = GroupParams(3, 3, 1)
+
+    class BadInverse(PGroup):
+        def inv(self, x):
+            return (7, 0, 0, 0, 0) if x == self.a1 else super().inv(x)
+
+    for seed in range(3):
+        report = verify_presentation(BadInverse(params), seed=seed)
+        assert "closure" in report["failures"], seed
+        assert "associativity-sample" not in report["failures"], seed
+        assert "witt-identities" not in report["failures"], seed
+
+
+def test_on_demand_rows_compute_the_products_the_table_samplers_read(monkeypatch):
+    # One seed makes the rows computed on demand call g.mul on the same
+    # products, in the same order, as the samplers read off the full table.
     g = gamma4r(3)
     els = g.elements()
-    rows, tinv, tident = pgroup._cayley_table(g, els)
-    assert els[tident] == g.identity
-
-    direct_calls = []
-
-    def direct_mul(x, y):
-        direct_calls.append((x, y))
-        return g.mul(x, y)
-
-    # The table samplers make each product as t[i][j]: rows that record
-    # every such lookup see the same products the direct body passes to mul.
-    table_calls = []
+    table_reads = []
 
     class Row:
-        def __init__(self, i):
-            self.i = i
+        def __init__(self, row, i):
+            self.row, self.i = row, i
 
         def __getitem__(self, j):
-            table_calls.append((els[self.i], els[j]))
-            return rows[self.i][j]
+            table_reads.append((els[self.i], els[j]))
+            return self.row[j]
 
     class Rows:
+        def __init__(self, rows):
+            self.rows = rows
+
         def __len__(self):
-            return len(rows)
+            return len(self.rows)
 
         def __getitem__(self, i):
-            return Row(i)
+            return Row(self.rows[i], i)
 
-    assert pgroup._associativity_sample(random.Random(5), els, direct_mul, 40)
-    assert pgroup._associativity_table_sample(random.Random(5), Rows(), 40)
-    assert pgroup._witt_sample(random.Random(5), els, direct_mul, g.inv, g.identity, 40)
-    assert pgroup._witt_table_sample(random.Random(5), Rows(), tinv, tident, 40)
-    assert len(direct_calls) == 40 * (4 + 46)
-    assert direct_calls == table_calls
+    assoc, witt = pgroup._associativity_sample, pgroup._witt_sample
+    monkeypatch.setattr(pgroup, "_associativity_sample",
+                        lambda rng, t, count: assoc(rng, Rows(t), count))
+    monkeypatch.setattr(pgroup, "_witt_sample",
+                        lambda rng, t, inv, ident, count: witt(rng, Rows(t), inv, ident, count))
+    assert verify_presentation(g, seed=5)["ok"]
+    monkeypatch.undo()
+
+    computed = []
+    product_rows = pgroup._product_rows
+
+    def recording_rows(mul, els, index):
+        def recording_mul(x, y):
+            computed.append((x, y))
+            return mul(x, y)
+
+        return product_rows(recording_mul, els, index)
+
+    monkeypatch.setattr(pgroup, "_TABLE_MAX_ORDER", 0)
+    monkeypatch.setattr(pgroup, "_product_rows", recording_rows)
+    assert verify_presentation(g, seed=5)["ok"]
+    assert len(computed) == pgroup._ASSOC_SAMPLES * 4 + pgroup._WITT_SAMPLES * 46
+    assert computed == table_reads
+
+
+def test_verify_presentation_product_counts(monkeypatch):
+    # Exact g.mul calls at seed 0: the table fill and the unsampled checks
+    # for Gamma4r(4) (order 256); every sampled product as well above it.
+    products = _count_products(monkeypatch)
+    for g, count in ((gamma(3, 3, 1), 135_373), (gamma(4, 4, 1), 143_097),
+                     (gamma4r(4), 67_617)):
+        products.clear()
+        assert verify_presentation(g, seed=0)["ok"]
+        assert len(products) == count, g.params
+
+
+def test_verify_presentation_catches_faults_at_order_2048():
+    # Gamma(4,4,eps) (order 2048) is sampled through rows computed on demand.
+    # A wrong product family fails only the associativity sample; products
+    # with left factor els[100] leave the group, and the first one the
+    # samples compute fails "closure".
+    for eps in (0, 1):
+        params = GroupParams(4, 4, eps)
+        x0 = gamma(4, 4, eps).elements()[100]
+
+        class Leaky(PGroup):
+            def mul(self, x, y):
+                if x == x0:
+                    return (9, 0, 0, 0, 0)
+                return super().mul(x, y)
+
+        for seed in range(3):
+            report = verify_presentation(_CorruptedC12(params), seed=seed)
+            assert report["failures"] == ["associativity-sample"], (eps, seed)
+            report = verify_presentation(Leaky(params), seed=seed)
+            assert report["failures"] == ["identity", "inverses", "closure"], (eps, seed)
 
 
 def test_verify_presentation_reads_each_product_once_up_to_order_256(monkeypatch):

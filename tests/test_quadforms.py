@@ -184,8 +184,7 @@ def test_is_principal_narrow_vs_wide():
     d = 12
     f = QuadForm(-1, 2, 2)
     assert f.disc == d
-    assert is_principal(d, f, narrow=False)
-    assert not is_principal(d, f, narrow=True)
+    assert is_principal(d, f)
 
 
 def test_indefinite_narrow_class_count():
@@ -276,6 +275,21 @@ def test_compose_real_lands_in_reference_cycle():
                 h = compose(f, g)
                 assert _is_reduced_indef(d, h)
                 assert h in _cycle(d, _dirichlet_compose(f, g)), (d, f, g)
+
+
+def test_is_principal_against_both_cycle_walks():
+    # The reference walks the principal cycle and the (-1, b0, *) cycle;
+    # is_principal walks the first and looks up each form and its negative.
+    verdicts = Counter()
+    for d in _fundamentals(5, 3000):
+        p = reduce_form(principal_form(d))
+        b0 = p.b
+        neg = reduce_form(QuadForm(-1, b0, (d - b0 * b0) // 4))
+        wide = set(_cycle(d, p)) | set(_cycle(d, neg))
+        for f in _reduced_indefinite_forms(d):
+            assert is_principal(d, f) == (f in wide), (d, f)
+            verdicts[f in wide] += 1
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def test_cycle_refuses_a_form_that_is_not_reduced():
