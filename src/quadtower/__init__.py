@@ -35,7 +35,6 @@ from .quadforms import (
     prime_form,
     reduce_form,
     two_part,
-    wide_h2,
 )
 from .tower import classify, crosscheck, invariants, predict, scan
 
@@ -75,5 +74,4 @@ __all__ = [
     "table1_predictions",
     "two_part",
     "verify_presentation",
-    "wide_h2",
 ]

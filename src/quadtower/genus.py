@@ -2,8 +2,10 @@
 
 Genus characters attach a sign chi_{d_i}(c) to each form class c and each prime
 discriminant d_i dividing the field discriminant; the product of all signs on a
-class is always +1.  The square-torsion computation identifies the unique
-2-torsion class that is a square, directly from the explicit class group.
+class is always +1 (for d > 0 on narrow classes: f and -f may differ).  The
+square-torsion computation identifies the unique 2-torsion class that is a
+square, directly from the explicit class group.  Lemma 1 reads a real
+field's wide 2-class number off class_group.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from .quadforms import (
     DEFAULT_ENUM_BOUND,
     ClassGroup,
     QuadForm,
+    class_group,
     compose,
     is_principal,
     prime_form,
     principal_form,
     reduce_form,
-    wide_h2,
+    two_part,
 )
 
 
@@ -153,7 +156,7 @@ def lemma1_check(
         ell = p
     else:
         raise PreconditionViolated(f"case must be 1 or 2, got {case}")
-    h2 = wide_h2(disc, bound)
+    h2 = two_part(class_group(disc, bound))[0]
     form = prime_form(disc, ell)
     principal = is_principal(disc, form)
     return Lemma1Report(

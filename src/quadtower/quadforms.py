@@ -1,9 +1,13 @@
 """Class groups, principality tests, and fundamental units via binary quadratic forms.
 
-Negative discriminants get the full class group with composition; positive
-discriminants get narrow-class counts and principality via cycles of reduced
-indefinite forms under the rho operator.  Everything is exact integer
-arithmetic on fundamental discriminants.
+Class groups are wide (ordinary) for either sign: negative discriminants
+get the full class group with composition; positive ones get one reduced
+form per wide class and principality via rho cycles of reduced indefinite
+forms.  Negation (a, b, c) -> (-a, b, -c) keeps a form reduced, commutes
+with rho, and sends a cycle onto that of the other narrow class in its
+wide class (Cohen, ch. 5; Buell, Binary Quadratic Forms, ch. 3), so one
+walk covers both.  Everything is exact integer arithmetic on fundamental
+discriminants.
 
 Reduced forms of either sign come from one kernel that walks a: a reduced
 form (a, b, c) has b^2 = d (mod 4a) with a <= sqrt(|d| / 3) (d < 0) or
@@ -298,11 +302,11 @@ def form_pow(f: QuadForm, k: int) -> QuadForm:
 
 @dataclass(frozen=True)
 class ClassGroup:
-    """Form class group of a fundamental discriminant.
+    """Ordinary (wide) form class group of a fundamental discriminant.
 
     Negative disc: `classes` are the unique reduced representatives and
     composition closes on them.  Positive disc: `classes` are one reduced
-    form per narrow class (cycle representatives); no group law exposed.
+    form per wide class; no group law exposed, and `abelian_type` is None.
     """
 
     disc: int
@@ -556,7 +560,9 @@ def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
 
 
 def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:
-    """Full class group (negative d) or narrow cycle representatives (positive d)."""
+    """Full class group (negative d) or one reduced form per wide class
+    (positive d): each reduced form not yet seen is kept, and its one rho
+    cycle walk marks that cycle and its negation seen."""
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not a fundamental discriminant")
     if _is_square(d):
@@ -566,20 +572,19 @@ def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:
     if d < 0:
         classes = _reduced_definite_forms(d)
         return ClassGroup(d, tuple(classes), _sylow2_type(classes, d))
-    forms = _reduced_indefinite_forms(d)
-    seen: set[QuadForm] = set()
+    seen: set[tuple[int, int, int]] = set()
     reps: list[QuadForm] = []
-    for f in forms:
+    for f in _reduced_indefinite_forms(d):
         if f in seen:
             continue
-        cyc = _cycle(d, f)
-        seen.update(cyc)
+        for a, b, c in _cycle(d, f):
+            seen.update(((a, b, c), (-a, b, -c)))
         reps.append(f)
     return ClassGroup(d, tuple(reps), None)
 
 
 def two_part(g: ClassGroup) -> tuple[int, AbelianType | None]:
-    """(2-part of h, invariant factors of the 2-Sylow for negative disc)."""
+    """(2-part of the wide h, invariant factors of the 2-Sylow for negative disc)."""
     return g.h & -g.h, g.abelian_type
 
 
@@ -594,11 +599,12 @@ def prime_form(d: int, ell: int) -> QuadForm:
 
 
 def is_principal(d: int, f: QuadForm) -> bool:
-    """Principality of the class of f in the wide sense: reduce-and-compare
-    for d < 0.  For d > 0, the reduced form r = (a, b, c) of f, or its
-    negative (-a, b, -c), is in the principal cycle: the negative is reduced
-    too, and its narrow class is that of r times the class of (-1, b0, *),
-    so one cycle walk covers both narrow classes of the principal wide class."""
+    """Principality of the class of f in the wide sense, as in class_group:
+    reduce-and-compare for d < 0.  For d > 0, the reduced form r = (a, b, c)
+    of f, or its negative (-a, b, -c), is in the principal cycle: the
+    negative is reduced too, and its narrow class is that of r times the
+    class of (-1, b0, *), so one cycle walk covers both narrow classes of
+    the principal wide class."""
     if f.disc != d:
         raise DiscriminantMismatch(f"form discriminant {f.disc} != {d}")
     r = reduce_form(f)
@@ -636,14 +642,3 @@ def fundamental_unit(d: int) -> Unit:
         if x * x - d * y * y == -4:
             return Unit(x, y, -1)
     return Unit(t, u, 1)
-
-
-def wide_h2(d: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
-    """2-part of the ordinary (wide) class number of a real quadratic field."""
-    if d < 0:
-        raise InvalidArgument(f"wide_h2 needs a positive discriminant, not {d}")
-    g = class_group(d, bound)
-    h2, _ = two_part(g)
-    if fundamental_unit(d).norm == 1:
-        h2 //= 2
-    return max(h2, 1)

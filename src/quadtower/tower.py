@@ -54,7 +54,6 @@ from .quadforms import (
     principal_form,
     reduce_form,
     two_part,
-    wide_h2,
 )
 
 TYPE_4P = "Type4p"
@@ -271,12 +270,6 @@ def predict(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     return replace(report, checks=tuple(checks))
 
 
-def _h2_of_disc(dd: int, bound: int) -> int:
-    if dd < 0:
-        return two_part(class_group(dd, bound))[0]
-    return wide_h2(dd, bound)
-
-
 def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
     """Cross-check the class-field side against the group engine for one field."""
     cls = classify(d)
@@ -313,7 +306,7 @@ def crosscheck(d: int, bound: int = DEFAULT_ENUM_BOUND) -> TowerReport:
         for row in rows:
             for dd in discs[row.j]:
                 if dd not in h2s:
-                    h2s[dd] = _h2_of_disc(dd, bound)
+                    h2s[dd] = two_part(class_group(dd, bound))[0]
             actual = kuroda_h2([h2s[dd] for dd in discs[row.j]], q_index=1)
             checks.append(Check(f"table1-h2-{row.j}", row.h2, actual))
 
@@ -472,13 +465,14 @@ def scan(
     `_try_4pqr` how far each -d/4 is factored.  A window whose |lo| / 4 is
     above arith.DEFAULT_FACTOR_BOUND raises BoundExceeded before any d is
     examined, and so does one whose |lo| is above the enumeration bound
-    `bound`; workers < 1 raises InvalidArgument.  More workers cut [lo, hi]
-    into _SCAN_WINDOW-wide windows, run as units by criterion 10's runner
+    `bound`; workers < 1 raises InvalidArgument.  [lo, hi] is cut into
+    _SCAN_WINDOW-wide windows, run as units by criterion 10's runner
     (_forked_results) on at most `workers` usable CPUs and joined in window
     order, so the rows do not depend on the worker or CPU count; a window
-    that raised runs again here, and raises here.  The runner only forks:
-    without sched_getaffinity (macOS, Windows), or beside another running
-    thread, the windows run in a plain loop here.
+    that raised runs again here, and raises here.  The runner only forks
+    with two CPUs or more: with one worker, without sched_getaffinity
+    (macOS, Windows), or beside another running thread, the windows run in
+    a plain loop here.
     """
     if not (lo < hi <= -1):
         raise InvalidArgument(f"need lo < hi <= -1, got [{lo}, {hi}]")
@@ -490,8 +484,6 @@ def scan(
         )
     if -lo > bound:
         raise BoundExceeded(f"|{lo}| exceeds enumeration bound {bound}")
-    if workers == 1:
-        return _scan_chunk(lo, hi, bound)
     units = [partial(_scan_chunk, max(lo, top - _SCAN_WINDOW + 1), top, bound)
              for top in range(hi, lo - 1, -_SCAN_WINDOW)]
     result = _forked_results(units, list(range(len(units))), workers)

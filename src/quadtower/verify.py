@@ -465,7 +465,9 @@ def criterion_oracles(
     of equal |a|, and reads the rest of the table off its transpose.  Closure
     reads the table; each inverse is one more compose call; the drawn triples
     are table lookups when d is closed and compose calls when it is not.  The
-    genus survey takes every character of a class from one characters call.
+    genus survey takes every character of a class from one characters call,
+    and for a real d it takes a form f of each wide class and -f, which is
+    in the other narrow class of that wide class when the unit has norm +1.
     """
     res = CriterionResult(10, "oracle-suite")
     names = []
@@ -501,8 +503,10 @@ def criterion_oracles(
 
     first_survey = len(units)
     for d in survey:
-        group = survey_groups[d] or class_group(d)
-        units.append(partial(_character_failures, d, group.classes))
+        classes = (survey_groups[d] or class_group(d)).classes
+        if d > 0:  # both narrow classes of each wide class
+            classes = [g for f in classes for g in (f, QuadForm(-f.a, f.b, -f.c))]
+        units.append(partial(_character_failures, d, classes))
 
     schedule = list(range(len(names))) + sorted(sizes, key=sizes.get, reverse=True)
     schedule += range(first_survey, len(units))

@@ -10,7 +10,7 @@ from quadtower.kuroda import (
     subfield_discriminants,
     table1_predictions,
 )
-from quadtower.quadforms import class_group, two_part, wide_h2
+from quadtower.quadforms import class_group, two_part
 
 
 def test_kuroda_h2_v4_layouts():
@@ -66,9 +66,7 @@ def test_predictions_match_actual_class_numbers():
     # For (p,q,q') = (17,3,11): the Kuroda value from the true subfield
     # 2-class numbers equals every predicted table entry.
     def h2_of(dd):
-        if dd < 0:
-            return two_part(class_group(dd))[0]
-        return wide_h2(dd)
+        return two_part(class_group(dd))[0]
 
     rows = table1_predictions(2, 2)
     discs = subfield_discriminants(17, 3, 11)

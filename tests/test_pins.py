@@ -8,15 +8,22 @@ are checked only with the rest, by
     PYTHONPATH=src python tests/test_pins.py
 
 which prints argv, seconds and `ok` or what differs for every row, and exits
-1 if any row differs.  To pin an output, add its row here.
+1 if any row differs.  A row that issues a warning fails too: on Python 3.12
+and later, os.fork warns beside a running thread, which the fork runner of
+scan and criterion 10 must never do.  `python -W error` would not turn that
+warning into a failure, since os.fork clears the error it raises.  To pin an
+output, add its row here.
 """
 
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import time
+import warnings
 
+from quadtower import tower
 from quadtower.cli import main
 
 PINS = [
@@ -198,17 +205,19 @@ def check(pins) -> list[str]:
     """Run each row's argv through quadtower.cli.main in this process and
     print one line per row: argv, elapsed seconds, and `ok` or the exit code
     and sha256 it got.  Returns the lines of the rows that did not exit 0
-    with the pinned stdout."""
+    with the pinned stdout and no warning."""
     failures = []
     for argv, digest, _ in pins:
         out = io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv.split())
         seconds = time.perf_counter() - start
         got = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        ok = code == 0 and got == digest
+        ok = code == 0 and got == digest and not caught
         line = f"{argv}: {seconds:.2f} s " + ("ok" if ok else f"FAIL exit {code} sha256 {got}")
+        line += "".join(f" warned {w.category.__name__}: {w.message}" for w in caught)
         print(line, flush=True)
         if not ok:
             failures.append(line)
@@ -217,6 +226,22 @@ def check(pins) -> list[str]:
 
 def test_fast_pins():
     assert check([pin for pin in PINS if pin[2] == "fast"]) == []
+
+
+def test_a_row_that_warns_fails(monkeypatch):
+    # The warning os.fork gives beside a running thread on 3.12 and later,
+    # stood in for on any version: the rows are right, the row still fails.
+    real_fork = os.fork
+
+    def warning_fork():
+        warnings.warn("use of fork() may lead to deadlocks", DeprecationWarning)
+        return real_fork()
+
+    monkeypatch.setattr(tower, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    digest = dict((argv, d) for argv, d, _ in PINS)["--format csv scan -60000 -1"]
+    (line,) = check([("--workers 2 --format csv scan -60000 -1", digest, "fast")])
+    assert f"exit 0 sha256 {digest} warned DeprecationWarning: use of fork()" in line
 
 
 if __name__ == "__main__":

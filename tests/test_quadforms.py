@@ -8,6 +8,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from quadtower import quadforms
 from quadtower.arith import factor, is_fundamental, kronecker, prime_discriminants
 from quadtower.cli import _jsonable
 from quadtower.errors import (
@@ -38,7 +39,6 @@ from quadtower.quadforms import (
     principal_form,
     reduce_form,
     two_part,
-    wide_h2,
 )
 from quadtower.tower import scan
 
@@ -148,11 +148,10 @@ def test_fundamental_units():
 
 
 def test_wide_h2():
-    # Narrow 2-class number halves exactly when the unit norm is +1.
-    assert wide_h2(8) == 1
-    assert wide_h2(204) == 2
-    assert wide_h2(561) == 2
-    assert wide_h2(12) == 1
+    # The wide 2-class number: the narrow one (1, 4, 4, 2, 4) halved where
+    # the unit norm is +1.
+    for d, h2 in ((8, 1), (204, 2), (561, 2), (12, 1), (136, 2)):
+        assert two_part(class_group(d))[0] == h2, d
     assert fundamental_unit(204).norm == 1
     assert fundamental_unit(561).norm == 1
 
@@ -161,14 +160,11 @@ def test_square_discriminant_refused():
     # d = 1 is fundamental but square: its class number would read 0.
     with pytest.raises(SquareDiscriminant):
         class_group(1)
-    with pytest.raises(SquareDiscriminant):
-        wide_h2(1)
 
 
 def test_real_quadratic_functions_refuse_negative_discriminants():
-    for function in (fundamental_unit, wide_h2):
-        with pytest.raises(InvalidArgument):
-            function(-4)
+    with pytest.raises(InvalidArgument):
+        fundamental_unit(-4)
 
 
 def test_fundamental_unit_refuses_a_non_discriminant():
@@ -187,11 +183,72 @@ def test_is_principal_narrow_vs_wide():
     assert is_principal(d, f)
 
 
+def _negated(f):
+    return QuadForm(-f.a, f.b, -f.c)
+
+
+def _narrow_classes(d, classes):
+    """One reduced form per narrow class, from class_group's one per wide
+    class: f, and -f when it is not on f's cycle."""
+    out = []
+    for f in classes:
+        out.append(f)
+        if _negated(f) not in _cycle(d, f):
+            out.append(_negated(f))
+    return out
+
+
 def test_indefinite_narrow_class_count():
     # h+(d) for a few real quadratic fields (narrow class numbers).
     expected = {5: 1, 8: 1, 12: 2, 204: 4, 561: 4, 136: 4}
     for d, h in expected.items():
-        assert len(class_group(d).classes) == h, d
+        assert len(_narrow_classes(d, class_group(d).classes)) == h, d
+
+
+def _reference_narrow_count(d):
+    """h+(d): the number of rho cycles that the reduced forms of
+    _reference_indefinite_forms fall into.  Rho on a reduced form (a, b, c)
+    is (c, b', *) with b' = -b (mod 2c) and sqrt(d) - 2|c| < b' < sqrt(d)."""
+    s = isqrt(d)
+    unseen = set(_reference_indefinite_forms(d))
+    cycles = 0
+    while unseen:
+        f = start = unseen.pop()
+        cycles += 1
+        while True:
+            m = 2 * abs(f.c)
+            b = s - (s + f.b) % m
+            f = QuadForm(f.c, b, (b * b - d) // (4 * f.c))
+            if f == start:
+                break
+            unseen.remove(f)
+    return cycles
+
+
+def test_real_class_number_is_the_narrow_one_halved_by_a_norm_one_unit():
+    halved = 0
+    for d in _fundamentals(5, 5000):
+        narrow = _reference_narrow_count(d)
+        if fundamental_unit(d).norm == 1:
+            narrow //= 2
+            halved += 1
+        assert class_group(d).h == narrow, d
+    assert halved, "no d with a unit of norm +1"
+
+
+def test_real_class_group_walks_one_cycle_per_wide_class(monkeypatch):
+    walks = []
+    real = quadforms._cycle
+
+    def counting(d, f):
+        walks.append(f)
+        return real(d, f)
+
+    monkeypatch.setattr(quadforms, "_cycle", counting)
+    for d, h in ((204, 2), (561, 2), (5, 1), (136, 2)):
+        walks.clear()
+        assert class_group(d).h == h, d
+        assert len(walks) == h, (d, walks)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +325,9 @@ def test_compose_unreduced_prime_forms():
 
 
 def test_compose_real_lands_in_reference_cycle():
+    # f and -f: both narrow classes of each wide class.
     for d in _fundamentals(5, 3000):
-        classes = class_group(d).classes
+        classes = [g for f in class_group(d).classes for g in (f, _negated(f))]
         for f in classes:
             for g in classes:
                 h = compose(f, g)
@@ -686,8 +744,10 @@ def test_reduced_forms_near_the_bound_pinned():
 
 
 # sha256 of the JSON list of [d, classes, abelian type] below, recorded
-# before the square-root sieve replaced the double loop.  It pins the order
-# of `classes`, which the cycle representatives and the 2-Sylow walk follow.
+# before the square-root sieve replaced the double loop, when a positive d
+# kept one form per narrow class.  It pins the order of `classes`, which the
+# cycle representatives and the 2-Sylow walk follow; a positive d's wide
+# classes are expanded to the narrow list that was hashed.
 CLASS_GROUP_SHA256 = "b7e583763593c0864f169b29ade73e79e08d6d699a53e7bf35bde3e79cb914b8"
 
 
@@ -698,6 +758,7 @@ def test_class_groups_pinned():
     for d in discs:
         g = class_group(d)
         parts = None if g.abelian_type is None else list(g.abelian_type.parts)
-        rows.append([d, [list(f) for f in g.classes], parts])
+        classes = g.classes if d < 0 else _narrow_classes(d, g.classes)
+        rows.append([d, [list(f) for f in classes], parts])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == CLASS_GROUP_SHA256

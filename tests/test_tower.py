@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 import sympy
 
-from quadtower import pgroup, quadforms, tower
+from quadtower import genus, pgroup, quadforms, tower
 from quadtower.arith import is_fundamental
 from quadtower.errors import (
     BoundExceeded,
@@ -154,7 +154,7 @@ def test_crosscheck_builds_each_class_group_once(monkeypatch):
         built[d] += 1
         return real(d, *args, **kwargs)
 
-    for module in (tower, quadforms):
+    for module in (tower, genus):
         monkeypatch.setattr(module, "class_group", counting)
     d, p, q, qp = -329988, 257, 3, 107
     assert tower.crosscheck(d).all_passed
@@ -281,6 +281,10 @@ def test_scan_parallel_deterministic(family_below_1e5, forks, monkeypatch):
         return real(units, schedule, workers)
 
     monkeypatch.setattr(tower, "_forked_results", recording)
+    # One worker: the same seven windows, in a plain loop here.
+    assert _rows(scan(-100000, -1)) == family_below_1e5
+    assert forks == [] and len(bounds) == 7
+    bounds.clear()
     assert _rows(scan(-100000, -1, workers=3)) == family_below_1e5
     assert len(forks) == 2
     assert bounds[:2] == [(-16384, -1), (-32768, -16385)]
@@ -314,6 +318,22 @@ def test_scan_forked_raises_the_error_of_a_childs_window(forks, monkeypatch, tmp
         scan(-100000, -1, workers=3)
     assert len(forks) == 2
     assert str(excinfo.value) == f"{first.read_text()} stub"
+
+
+def test_m_matches_the_barrucand_cohn_residue_symbol():
+    # An oracle that counts no forms: for a prime p = 1 (mod 8), 8 | h(-4p)
+    # exactly when (-4)^((p - 1) / 8) = 1 (mod p) (Barrucand-Cohn, J. reine
+    # angew. Math. 238, 1969), and a Type4p field has 2^m = h2(-4p).
+    rows = [r for r in scan(-10**6, -1) if r.classification.kind == "Type4p"]
+    deep = 0
+    for r in rows:
+        p = r.classification.primes[0]
+        assert p % 8 == 1, r.d
+        symbol = pow(-4, (p - 1) // 8, p) == 1
+        assert (r.m >= 3) == symbol, (r.d, p, r.m)
+        deep += symbol
+    assert (len(rows), deep) == (437, 178)
+    assert len({r.classification.primes[0] for r in rows}) == 93
 
 
 def test_scan_visits_only_12_mod_16(monkeypatch):
