@@ -20,8 +20,15 @@ and H_1 cap H_2 is one coset step over it.  `subgroup` is the one span
 constructor.  Abelian invariants of h/N come from the spans <N, x^(2^j)> of
 powers of h's generators, through the kernel the class groups use
 (quadforms.abelian_type_from_powers).  One coset map, `cosets`, serves
-quotients.  PGroup and the quotient groups share one protocol: elements(),
-gens(), mul, inv, identity and check_element, with pow and comm from _Group.
+quotients.  A transfer kernel of K/K' -> H/H', (K:H) = 2, is read over a
+transversal of K' in K: the box of products b_1^e_1 ... b_r^e_r of powers
+of K's generators when their orders modulo K' multiply to |K/K'|, and
+otherwise the first element met of each coset.  On the box the transfer, a
+homomorphism into the abelian H/H', costs one product per element, from its
+values on the generators, with z the first of them outside H; each kernel
+preimage is K' extended by the transversal elements it needs.  PGroup and
+the quotient groups share one protocol: elements(), gens(), mul, inv,
+identity and check_element, with pow and comm from _Group.
 All operations are exact and exhaustive; PGroup refuses orders above 2^16
 (MAX_ORDER_LOG2) with BoundExceeded before building any element, and caches
 each inverse it has computed, at most one per element of the group, after
@@ -286,15 +293,15 @@ def _extend(sub: Subgroup, x) -> Subgroup:
     return Subgroup(g, frozenset(span), gens)
 
 
-def _span_over(base: Subgroup, xs) -> tuple[int, list]:
-    """|<base, xs> / base|, and the members of xs that enlarged the span,
-    each by one _extend step."""
-    sub, used = base, []
+def _span_over(base: Subgroup, xs) -> Subgroup:
+    """<base, xs>, extended by one _extend step for each member of xs
+    outside the span so far: its generators are base's, then the members
+    of xs that enlarged it."""
+    sub = base
     for x in xs:
         if x not in sub.elements:
             sub = _extend(sub, x)
-            used.append(x)
-    return sub.order // base.order, used
+    return sub
 
 
 def subgroup(group, seeds, conj_gens=()) -> Subgroup:
@@ -360,12 +367,7 @@ def frattini_subgroup(h: Subgroup) -> Subgroup:
     Theory, 3.3): h's kept derived subgroup, extended by each square outside
     the span so far.  It is normal in h because it contains h'."""
     g = h.group
-    phi = h.derived
-    for x in h.generators:
-        sq = g.mul(x, x)
-        if sq not in phi.elements:
-            phi = _extend(phi, sq)
-    return phi
+    return _span_over(h.derived, [g.mul(x, x) for x in h.generators])
 
 
 def centre(group) -> Subgroup:
@@ -419,9 +421,14 @@ def _abelian_type(h: Subgroup, N: Subgroup) -> AbelianType:
     the spans <N, x^(2^j)> of powers of h's generators x
     (abelian_type_from_powers)."""
     g = h.group
+    k = len(N.generators)
+
+    def span(xs):
+        sub = _span_over(N, xs)
+        return sub.order // N.order, sub.generators[k:]
+
     return abelian_type_from_powers(
-        h.order // N.order, h.generators,
-        lambda x: g.mul(x, x), lambda xs: _span_over(N, xs),
+        h.order // N.order, h.generators, lambda x: g.mul(x, x), span,
     )
 
 
@@ -554,14 +561,15 @@ def subgroups_of_index4(group, maximals) -> list[tuple[Subgroup, bool]]:
 # ---------------------------------------------------------------------------
 
 def transfer_values(K: Subgroup, H: Subgroup, xs) -> list:
-    """Representatives of t_{K,H}(x K') modulo H' for each x in xs, with
-    (K:H) = 2 and z the least element of K outside H: x^2 [x, z] for x in H,
-    x^2 otherwise.  x^2 [x, z] is computed as x z^-1 x z, three products
-    with z^-1 taken once."""
+    """Representatives of V(x) = t_{K,H}(x K') modulo H' for each x in xs,
+    with (K:H) = 2 and z the first of K's generators outside H (one is,
+    since they span K): x^2 [x, z] for x in H, x^2 otherwise.  x^2 [x, z]
+    is computed as x z^-1 x z, three products with z^-1 taken once.  V is
+    a homomorphism into the abelian H/H', so V(xy) = V(x) V(y) modulo H'."""
     g = K.group
     if not H.elements <= K.elements or 2 * H.order != K.order:
         raise IndexNotTwo("H must have index 2 in K")
-    z = min(K.elements - H.elements)
+    z = next(y for y in K.generators if y not in H.elements)
     zi = g.inv(z)
     out = []
     for x in xs:
@@ -574,30 +582,84 @@ def transfer_values(K: Subgroup, H: Subgroup, xs) -> list:
     return out
 
 
+def _box_transversal(K: Subgroup, index: int):
+    """A transversal of K' in the 2-group K, with index = |K/K'|, as the box
+    of products b_1^e_1 ... b_r^e_r over K's generators b_i, 0 <= e_i < o_i,
+    where o_i is the order of b_i modulo K', read off repeated squaring.
+
+    The box maps onto the abelian K/K', which the b_i span, so it is a
+    transversal exactly when prod o_i = index.  Returns (box, steps, gens):
+    gens are the b_i with o_i > 1, and the k-th step (p, i) says
+    box[k + 1] = box[p] gens[i], with box[0] = 1.  None when the product
+    of the orders found so far passes the index, before any further
+    squaring, or when it falls short of it."""
+    g = K.group
+    kprime = K.derived.elements
+    gens, orders, total = [], [], 1
+    for b in K.generators:
+        o, y = 1, b
+        while y not in kprime:
+            o *= 2
+            if total * o > index:
+                return None
+            y = g.mul(y, y)
+        if o > 1:
+            gens.append(b)
+            orders.append(o)
+            total *= o
+    if total != index:
+        return None
+    box, steps = [g.identity], []
+    for i, (b, o) in enumerate(zip(gens, orders)):
+        for p in range(len(box) * (o - 1)):
+            steps.append((p, i))
+            box.append(g.mul(box[p], b))
+    return box, steps, gens
+
+
 def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
     """Kernels of the induced maps K/K' -> H/H', one per H of index 2 in K
-    in `targets`, from one K' and one transversal of K' in K: the first
-    element met of each coset, in K's own order.
+    in `targets`, from one K' and one transversal of K' in K.
 
-    Each kernel comes as (order, ker): ker is its preimage in K, spanned by
-    K' and the transversal elements whose transfer lies in H', and order is
-    the number of cosets of K' in ker.  The kernel is the union of the
-    cosets whose value lies in H', so it does not depend on which
-    representatives the transversal takes.
+    The transversal is the box over K's generators (_box_transversal), on
+    which V is read from its values on those generators, one product per
+    element, since V is a homomorphism (transfer_values): the transversal
+    and each target's values cost products in proportion to |K/K'|, not
+    to |K|.  Where the orders of the generators modulo K' do not certify a
+    box, the transversal is the first element met of each coset, marked
+    coset by coset in K's own order, and V is computed on each.
+
+    Each kernel comes as (order, ker): ker is its preimage in K, K'
+    extended by each transversal element whose transfer lies in H' and that
+    is outside the span so far, and order is the number of cosets of K' in
+    ker.  The kernel is the union of the cosets whose value lies in H', so
+    it does not depend on which representatives the transversal takes.
     """
     g = K.group
     kprime = K.derived
-    reps = []
-    seen = set()
-    for x in K.elements:
-        if x not in seen:
-            reps.append(x)
-            seen.update(g.mul(x, w) for w in kprime.elements)
+    box = _box_transversal(K, K.order // kprime.order)
+    if box is None:
+        # K's elements are met once each, so x itself need not be marked.
+        others = kprime.elements - {g.identity}
+        reps = []
+        seen = set()
+        for x in K.elements:
+            if x not in seen:
+                reps.append(x)
+                seen.update(g.mul(x, w) for w in others)
+    else:
+        reps, steps, gens = box
     out = []
     for H in targets:
         hprime = H.derived.elements
-        inside = [x for x, val in zip(reps, transfer_values(K, H, reps)) if val in hprime]
-        out.append((len(inside), subgroup(g, list(kprime.generators) + inside)))
+        if box is None:
+            values = transfer_values(K, H, reps)
+        else:
+            values, on_gens = [g.identity], transfer_values(K, H, gens)
+            for p, i in steps:
+                values.append(g.mul(values[p], on_gens[i]))
+        inside = [x for x, val in zip(reps, values) if val in hprime]
+        out.append((len(inside), _span_over(kprime, inside)))
     return out
 
 

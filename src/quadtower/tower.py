@@ -366,6 +366,25 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
+_PROC_STAT = "/proc/self/stat"
+
+
+def _thread_count() -> int:
+    """The threads of this process.  On Linux, the num_threads field of
+    /proc/self/stat counts all of them, those started by _thread or by
+    native code too; it is the 18th field after the command name, which is
+    in parentheses and may hold spaces or parentheses of its own.  Where
+    that file is missing, threading counts the threads started through it,
+    and none were if it is not imported."""
+    try:
+        with open(_PROC_STAT, "rb") as stat:
+            fields = stat.read()
+    except OSError:
+        threads = sys.modules.get("threading")
+        return threads.active_count() if threads else 1
+    return int(fields[fields.rindex(b")") + 1:].split()[17])
+
+
 # The schedule is cut into at most this many tickets of 2 bytes each, so that
 # all of them fit the smallest pipe Linux makes (one 4 KiB page, PIPE_BUF) and
 # one write fills the ticket pipe before any fork without blocking.
@@ -377,9 +396,9 @@ def _forked_results(units: list, schedule: list[int],
     """The function i -> units[i](), with the units of the schedule run
     ahead on the usable CPUs, at most `workers` of them.
 
-    With one such CPU or one ticket, or with another thread running (a
-    child forked from a threaded process can block on a lock that thread
-    held), nothing runs ahead and each unit runs here when it is asked for.
+    With one such CPU or one ticket, or with another thread running, by
+    _thread_count (a child forked from a threaded process can block on a
+    lock that thread held), nothing runs ahead and each unit runs here when it is asked for.
     Otherwise the schedule is cut into tickets, the tickets are written to a
     pipe, and one child fewer than the CPUs is forked; this process and
     every child take the next ticket until none is left.  Each child pickles
@@ -390,9 +409,7 @@ def _forked_results(units: list, schedule: list[int],
     step = -(-len(schedule) // _MAX_TICKETS)
     slices = [schedule[k : k + step] for k in range(0, len(schedule), step)]
     workers = min(_usable_cpus(), len(slices), workers)
-    # threading counts the threads started through it; unimported, none were.
-    threads = sys.modules.get("threading")
-    if workers < 2 or threads and threads.active_count() > 1:
+    if workers < 2 or _thread_count() > 1:
         return lambda i: units[i]()
     import pickle
 

@@ -345,6 +345,37 @@ def test_transfer_values_against_definition():
                     assert g.mul(g.inv(expected), value) in hprime
 
 
+@pytest.mark.parametrize("n, m", [(3, 5), (6, 2)])
+def test_transfer_kernel_against_definition_at_order_2048(n, m, monkeypatch):
+    # The crosscheck's largest orders: K = G with H_1..H_7 takes the box
+    # transversal, and the capitulation pair K = H_2, whose 5 generators do
+    # not certify a box, takes the coset-marking one.
+    g = gamma(n, m, 1)
+    top = whole_group(g)
+    subs, phi = standard_maximal_subgroups(top)
+    h2, inter = capitulation_subgroups(subs, phi)
+    paths = []
+    real = pgroup._box_transversal
+
+    def recording(K, index):
+        box = real(K, index)
+        paths.append((K, box is not None))
+        return box
+
+    monkeypatch.setattr(pgroup, "_box_transversal", recording)
+    for K, targets in ((top, subs), (h2, [inter])):
+        for H, (order, ker) in zip(targets, transfer_kernel(K, targets)):
+            hprime = H.derived.elements
+            expected = {
+                x for x in K.elements if _transfer_by_definition(K, H, x) in hprime
+            }
+            assert ker.elements == expected
+            assert order * K.derived.order == ker.order
+            _assert_small_generating_set(ker)
+    assert len(h2.generators) == 5
+    assert paths == [(top, True), (h2, False)]
+
+
 def test_quotient_group():
     g = gamma(1, 2, 0)
     series = lower_central_series(whole_group(g))

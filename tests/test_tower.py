@@ -367,6 +367,47 @@ def test_scan_workers_capped_at_usable_cpus(forks, monkeypatch):
     assert forks == []
 
 
+@pytest.mark.skipif(not os.path.exists(tower._PROC_STAT), reason="no /proc/self/stat")
+def test_scan_does_not_fork_beside_a_thread_threading_cannot_see(forks):
+    # A thread started through _thread, as native code would start one, is
+    # not in threading.active_count(); /proc/self/stat counts it.
+    import _thread
+    import threading
+
+    serial = _rows(scan(-50000, -1))
+    before = threading.active_count(), tower._thread_count()
+    started, hold = _thread.allocate_lock(), _thread.allocate_lock()
+    started.acquire()
+    hold.acquire()
+
+    def waiting():
+        started.release()
+        hold.acquire()
+
+    _thread.start_new_thread(waiting, ())
+    started.acquire()
+    try:
+        assert threading.active_count() == before[0]
+        assert tower._thread_count() == before[1] + 1
+        assert _rows(scan(-50000, -1, workers=2)) == serial
+        assert forks == []
+    finally:
+        hold.release()
+        # Later tests fork: wait until the thread has ended.
+        deadline = time.monotonic() + 30
+        while tower._thread_count() > before[1] and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert _rows(scan(-50000, -1, workers=2)) == serial
+    assert len(forks) == 1
+
+
+def test_thread_count_without_proc_is_threadings(monkeypatch):
+    import threading
+
+    monkeypatch.setattr(tower, "_PROC_STAT", os.path.join(os.sep, "no", "such", "stat"))
+    assert tower._thread_count() == threading.active_count()
+
+
 def test_import_does_not_load_the_process_pool():
     # pickle is imported only by the fork runner when it forks, and no
     # process pool is imported at all, not even by a forked scan.
