@@ -582,17 +582,15 @@ def transfer_values(K: Subgroup, H: Subgroup, xs) -> list:
     return out
 
 
-def _box_transversal(K: Subgroup, index: int):
-    """A transversal of K' in the 2-group K, with index = |K/K'|, as the box
-    of products b_1^e_1 ... b_r^e_r over K's generators b_i, 0 <= e_i < o_i,
-    where o_i is the order of b_i modulo K', read off repeated squaring.
+def _box_orders(K: Subgroup, index: int):
+    """The generators b_i of the 2-group K that lie outside K', and their
+    orders o_i modulo K', read off repeated squaring, when those orders
+    certify the box over them (_box) as a transversal of K' in K, with
+    index = |K/K'|; otherwise None.
 
     The box maps onto the abelian K/K', which the b_i span, so it is a
-    transversal exactly when prod o_i = index.  Returns (box, steps, gens):
-    gens are the b_i with o_i > 1, and the k-th step (p, i) says
-    box[k + 1] = box[p] gens[i], with box[0] = 1.  None when the product
-    of the orders found so far passes the index, before any further
-    squaring, or when it falls short of it."""
+    transversal exactly when prod o_i = index.  The search stops as soon as
+    the product of the orders found so far passes the index."""
     g = K.group
     kprime = K.derived.elements
     gens, orders, total = [], [], 1
@@ -607,22 +605,26 @@ def _box_transversal(K: Subgroup, index: int):
             gens.append(b)
             orders.append(o)
             total *= o
-    if total != index:
-        return None
-    box, steps = [g.identity], []
-    for i, (b, o) in enumerate(zip(gens, orders)):
+    return (gens, orders) if total == index else None
+
+
+def _box(g, xs, orders) -> list:
+    """The products x_1^e_1 ... x_r^e_r, 0 <= e_i < o_i, one product each:
+    with L the length of the box over x_1 .. x_(i-1), entry k L + j is
+    entry j times x_i^k."""
+    box = [g.identity]
+    for x, o in zip(xs, orders):
         for p in range(len(box) * (o - 1)):
-            steps.append((p, i))
-            box.append(g.mul(box[p], b))
-    return box, steps, gens
+            box.append(g.mul(box[p], x))
+    return box
 
 
 def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
     """Kernels of the induced maps K/K' -> H/H', one per H of index 2 in K
     in `targets`, from one K' and one transversal of K' in K.
 
-    The transversal is the box over K's generators (_box_transversal), on
-    which V is read from its values on those generators, one product per
+    The transversal is the box over K's generators (_box_orders, _box), on
+    which V is the box over its values on those generators, one product per
     element, since V is a homomorphism (transfer_values): the transversal
     and each target's values cost products in proportion to |K/K'|, not
     to |K|.  Where the orders of the generators modulo K' do not certify a
@@ -637,7 +639,7 @@ def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
     """
     g = K.group
     kprime = K.derived
-    box = _box_transversal(K, K.order // kprime.order)
+    box = _box_orders(K, K.order // kprime.order)
     if box is None:
         # K's elements are met once each, so x itself need not be marked.
         others = kprime.elements - {g.identity}
@@ -648,16 +650,15 @@ def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
                 reps.append(x)
                 seen.update(g.mul(x, w) for w in others)
     else:
-        reps, steps, gens = box
+        gens, orders = box
+        reps = _box(g, gens, orders)
     out = []
     for H in targets:
         hprime = H.derived.elements
         if box is None:
             values = transfer_values(K, H, reps)
         else:
-            values, on_gens = [g.identity], transfer_values(K, H, gens)
-            for p, i in steps:
-                values.append(g.mul(values[p], on_gens[i]))
+            values = _box(g, transfer_values(K, H, gens), orders)
         inside = [x for x, val in zip(reps, values) if val in hprime]
         out.append((len(inside), _span_over(kprime, inside)))
     return out

@@ -398,7 +398,8 @@ def _forked_results(units: list, schedule: list[int],
 
     With one such CPU or one ticket, or with another thread running, by
     _thread_count (a child forked from a threaded process can block on a
-    lock that thread held), nothing runs ahead and each unit runs here when it is asked for.
+    lock that thread held), nothing runs ahead and each unit runs here
+    when it is asked for.
     Otherwise the schedule is cut into tickets, the tickets are written to a
     pipe, and one child fewer than the CPUs is forked; this process and
     every child take the next ticket until none is left.  Each child pickles

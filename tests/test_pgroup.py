@@ -345,26 +345,37 @@ def test_transfer_values_against_definition():
                     assert g.mul(g.inv(expected), value) in hprime
 
 
-@pytest.mark.parametrize("n, m", [(3, 5), (6, 2)])
-def test_transfer_kernel_against_definition_at_order_2048(n, m, monkeypatch):
+@pytest.mark.parametrize("n, m, counts", [(3, 5, [1598, 1152]), (6, 2, [2329, 1561])])
+def test_transfer_kernel_against_definition_at_order_2048(n, m, counts, monkeypatch):
     # The crosscheck's largest orders: K = G with H_1..H_7 takes the box
     # transversal, and the capitulation pair K = H_2, whose 5 generators do
-    # not certify a box, takes the coset-marking one.
+    # not certify a box, takes the coset-marking one.  Each call's exact
+    # PGroup.mul count is pinned, with K' and every H' built first, so that
+    # products in proportion to |K| where |K/K'| would do show.
     g = gamma(n, m, 1)
     top = whole_group(g)
     subs, phi = standard_maximal_subgroups(top)
     h2, inter = capitulation_subgroups(subs, phi)
-    paths = []
-    real = pgroup._box_transversal
+    for sub in [top, h2, inter] + subs:
+        sub.derived
+    products = _count_products(monkeypatch)
+    paths, kernels, computed = [], [], []
+    real = pgroup._box_orders
 
     def recording(K, index):
         box = real(K, index)
         paths.append((K, box is not None))
         return box
 
-    monkeypatch.setattr(pgroup, "_box_transversal", recording)
-    for K, targets in ((top, subs), (h2, [inter])):
-        for H, (order, ker) in zip(targets, transfer_kernel(K, targets)):
+    monkeypatch.setattr(pgroup, "_box_orders", recording)
+    pairs = ((top, subs), (h2, [inter]))
+    for K, targets in pairs:
+        products.clear()
+        kernels.append(transfer_kernel(K, targets))
+        computed.append(len(products))
+    assert computed == counts
+    for (K, targets), kernel in zip(pairs, kernels):
+        for H, (order, ker) in zip(targets, kernel):
             hprime = H.derived.elements
             expected = {
                 x for x in K.elements if _transfer_by_definition(K, H, x) in hprime
