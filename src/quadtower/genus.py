@@ -18,6 +18,7 @@ from .errors import (
     BoundExceeded,
     DiscriminantMismatch,
     NotFundamental,
+    NotImaginary,
     PreconditionViolated,
 )
 from .quadforms import (
@@ -83,8 +84,12 @@ def square_2torsion(group: ClassGroup) -> list[QuadForm]:
     """Representatives of Cl(d)^2 intersected with Cl(d)[2], for d < 0.
 
     Computed directly from the explicit class group: the set of squares of all
-    classes intersected with the set of classes of order dividing 2.
+    classes intersected with the set of classes of order dividing 2.  A
+    positive d raises NotImaginary: its classes compose to some form of the
+    product's cycle, which no comparison with one reduced form can place.
     """
+    if group.disc > 0:
+        raise NotImaginary(f"square_2torsion needs a negative discriminant, not {group.disc}")
     one = reduce_form(principal_form(group.disc))
     squared = [compose(f, f) for f in group.classes]
     torsion = {f for f, f2 in zip(group.classes, squared) if f2 == one}

@@ -6,8 +6,14 @@ form per wide class and principality via rho cycles of reduced indefinite
 forms.  Negation (a, b, c) -> (-a, b, -c) keeps a form reduced, commutes
 with rho, and sends a cycle onto that of the other narrow class in its
 wide class (Cohen, ch. 5; Buell, Binary Quadratic Forms, ch. 3), so one
-walk covers both.  Everything is exact integer arithmetic on fundamental
-discriminants.
+walk covers both.  The walks start only from the reduced forms with
+2|a| <= isqrt(d): rho leads the step after a reduced (a, b, c) with c, and
+4|a||c| = d - b^2 < d, so every cycle holds such a form.  Each wide class
+keeps the least form of its cycle and the negated one in order of b, then
+|a|, then the positive a first, which is the first form of the class that
+the enumeration of all reduced forms meets.  Every rho walk is one int
+loop, with isqrt(d) taken once per walk.  Everything is exact integer
+arithmetic on fundamental discriminants.
 
 Reduced forms of either sign come from one kernel that walks a: a reduced
 form (a, b, c) has b^2 = d (mod 4a) with a <= sqrt(|d| / 3) (d < 0) or
@@ -187,25 +193,30 @@ def _reduce_definite(d: int, a: int, b: int, c: int) -> QuadForm:
     return QuadForm(a, b, c)
 
 
-def _is_reduced_indef(d: int, f: QuadForm) -> bool:
-    a, b = f.a, f.b
+def _is_reduced_indef(d: int, f) -> bool:
+    a, b, _ = f
     if b <= 0 or b * b >= d:
         return False
     t = 2 * abs(a)
     return (t + b) ** 2 > d and (t - b) ** 2 < d
 
 
-def _rho(d: int, f: QuadForm) -> QuadForm:
-    """One step of the rho operator, normalizing toward/along the cycle."""
-    c = f.c
-    ac = abs(c)
+def _rho_walk(d: int, a: int, b: int, c: int):
+    """The forms that rho steps reach from (a, b, c) of discriminant d > 0,
+    as int tuples, without end.  Each step leads with c; its b is taken
+    modulo 2|c| into (-|c|, |c|] while |c| > isqrt(d), then as the largest
+    b <= isqrt(d), the only one a reduced form can have."""
     s = isqrt(d)
-    r = (-f.b) % (2 * ac)
-    if ac > s:
-        b2 = r if r <= ac else r - 2 * ac
-    else:
-        b2 = s - ((s - r) % (2 * ac))
-    return QuadForm(c, b2, (b2 * b2 - d) // (4 * c))
+    while True:
+        m = 2 * abs(c)
+        if m > 2 * s:
+            b = -b % m
+            if 2 * b > m:
+                b -= m
+        else:
+            b = s - (s + b) % m
+        a, c = c, (b * b - d) // (4 * c)
+        yield a, b, c
 
 
 def reduce_form(f: QuadForm) -> QuadForm:
@@ -216,24 +227,25 @@ def reduce_form(f: QuadForm) -> QuadForm:
         raise SquareDiscriminant(f"discriminant {d} is zero or a square")
     if d < 0:
         return _reduce_definite(d, *f)
-    g = f
-    while not _is_reduced_indef(d, g):
-        g = _rho(d, g)
-    return g
+    if _is_reduced_indef(d, f):
+        return f
+    for g in _rho_walk(d, *f):
+        if _is_reduced_indef(d, g):
+            return QuadForm(*g)
 
 
-def _cycle(d: int, f: QuadForm) -> list[QuadForm]:
-    """The rho-cycle of a reduced indefinite form.  Rho never comes back to
-    a form that is not reduced, so one is refused."""
+def _cycle(d: int, f) -> list[tuple[int, int, int]]:
+    """The rho-cycle of a reduced indefinite form, as (a, b, c) tuples from
+    f on.  Rho never comes back to a form that is not reduced, so one is
+    refused."""
     if not _is_reduced_indef(d, f):
         raise StructureMismatch(f"{f} is not a reduced form of discriminant {d}")
-    start = f
+    start = tuple(f)
     out = [start]
-    g = _rho(d, start)
-    while g != start:
+    for g in _rho_walk(d, *start):
+        if g == start:
+            return out
         out.append(g)
-        g = _rho(d, g)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +474,16 @@ def _reduced_definite_forms(d: int) -> list[QuadForm]:
     return out
 
 
-def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
-    """Reduced forms (+-a, b, -+c) of discriminant d > 0 in order of b, then
-    a.  They have 0 < b < sqrt(d) and |2a - b| < sqrt(d) < 2a + b, so
-    a < sqrt(d) and b lies in (sqrt(d) - 2a, sqrt(d)): of each class of
-    roots of b^2 = d (mod 4a) modulo 2a only the largest b <= isqrt(d) can
-    be reduced."""
+def _reduced_indefinite_forms(d: int, limit: int) -> list[tuple[int, int, int]]:
+    """Reduced forms (a, b, -c) and (-a, b, c) of discriminant d > 0 with
+    a <= limit, as int tuples in order of b, then a, the positive a first;
+    limit = isqrt(d) gives them all.  They have 0 < b < sqrt(d) and
+    |2a - b| < sqrt(d) < 2a + b, so a < sqrt(d) and b lies in
+    (sqrt(d) - 2a, sqrt(d)): of each class of roots of b^2 = d (mod 4a)
+    modulo 2a only the largest b <= isqrt(d) can be reduced."""
     s = isqrt(d)
     found = []
-    for a, bs in _roots_mod_4a(d, s):
+    for a, bs in _roots_mod_4a(d, limit):
         a2 = 2 * a
         for b in bs:
             b = s - (s - b) % a2
@@ -480,8 +493,8 @@ def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
     out = []
     for b, a in found:
         c = (d - b * b) // (4 * a)
-        out.append(QuadForm(a, b, -c))
-        out.append(QuadForm(-a, b, c))
+        out.append((a, b, -c))
+        out.append((-a, b, c))
     return out
 
 
@@ -561,8 +574,18 @@ def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
 
 def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:
     """Full class group (negative d) or one reduced form per wide class
-    (positive d): each reduced form not yet seen is kept, and its one rho
-    cycle walk marks that cycle and its negation seen."""
+    (positive d).
+
+    For d > 0 the walks start only from the reduced forms with
+    2|a| <= isqrt(d).  That meets every cycle: rho leads the step after a
+    reduced (a, b, c) with c, and 4|a||c| = d - b^2 < d, so one of |a|, |c|
+    is below sqrt(d) / 2.  Each such form whose wide class is not yet seen
+    starts one rho-cycle walk, which covers the negated cycle too.  The
+    class keeps the least form of the two cycles in the enumeration order
+    of all reduced forms, b, then |a|, then the positive a first: the form
+    (|a|, b, -|c|) of the cycle's least (b, |a|).  The representatives are
+    sorted in that order, so each is the first form of its wide class that
+    the full enumeration meets."""
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not a fundamental discriminant")
     if _is_square(d):
@@ -573,14 +596,18 @@ def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:
         classes = _reduced_definite_forms(d)
         return ClassGroup(d, tuple(classes), _sylow2_type(classes, d))
     seen: set[tuple[int, int, int]] = set()
-    reps: list[QuadForm] = []
-    for f in _reduced_indefinite_forms(d):
-        if f in seen:
+    least: list[tuple[int, int]] = []
+    # The forms come in pairs f = (a, b, c), (-a, b, -c), and a pair is
+    # seen when either is.
+    for f in _reduced_indefinite_forms(d, isqrt(d) // 2)[::2]:
+        a, b, c = f
+        if f in seen or (-a, b, -c) in seen:
             continue
-        for a, b, c in _cycle(d, f):
-            seen.update(((a, b, c), (-a, b, -c)))
-        reps.append(f)
-    return ClassGroup(d, tuple(reps), None)
+        cycle = _cycle(d, f)
+        seen.update(cycle)
+        least.append(min([(b, abs(a)) for a, b, _ in cycle]))
+    least.sort()
+    return ClassGroup(d, tuple(QuadForm(a, b, (b * b - d) // (4 * a)) for b, a in least), None)
 
 
 def two_part(g: ClassGroup) -> tuple[int, AbelianType | None]:
@@ -611,7 +638,7 @@ def is_principal(d: int, f: QuadForm) -> bool:
     if d < 0:
         return r == reduce_form(principal_form(d))
     cyc = set(_cycle(d, reduce_form(principal_form(d))))
-    return r in cyc or QuadForm(-r.a, r.b, -r.c) in cyc
+    return r in cyc or (-r.a, r.b, -r.c) in cyc
 
 
 def fundamental_unit(d: int) -> Unit:
@@ -621,17 +648,12 @@ def fundamental_unit(d: int) -> Unit:
         raise InvalidArgument(f"fundamental_unit needs a positive discriminant, not {d}")
     if d % 4 > 1:
         raise InvalidArgument(f"{d} is not a discriminant: it is {d % 4} mod 4")
-    p = reduce_form(principal_form(d))
+    cycle = _cycle(d, reduce_form(principal_form(d)))
     # Accumulate the rho-step matrices [[0, -1], [1, s]], s = (b + b') / (2c).
     m11, m12, m21, m22 = 1, 0, 0, 1
-    g = p
-    while True:
-        g2 = _rho(d, g)
-        s = (g.b + g2.b) // (2 * g.c)
+    for (_, b, c), (_, b2, _) in zip(cycle, cycle[1:] + cycle[:1]):
+        s = (b + b2) // (2 * c)
         m11, m12, m21, m22 = m12, -m11 + s * m12, m22, -m21 + s * m22
-        g = g2
-        if g == p:
-            break
     t = abs(m11 + m22)
     u = abs(m21)
     if t * t - d * u * u != 4:

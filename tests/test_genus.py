@@ -13,6 +13,7 @@ from quadtower.errors import (
     BoundExceeded,
     DiscriminantMismatch,
     NotFundamental,
+    NotImaginary,
     PreconditionViolated,
 )
 from quadtower.genus import characters, chi_eval, lemma1_check, square_2torsion
@@ -118,6 +119,15 @@ def test_square_2torsion_examples():
     # Squares of a cyclic group of order 4 meet the 2-torsion in C2.
     result = square_2torsion(class_group(-68))
     assert len(result) == 2 and QuadForm(2, 2, 9) in result
+
+
+def test_square_2torsion_refuses_a_real_class_group():
+    # For d > 0 a square composes to some form of its cycle, which no
+    # comparison with one reduced principal form can place: d = 136 read []
+    # though the principal class is a square of order 1.
+    for d in (136, 204, 5):
+        with pytest.raises(NotImaginary):
+            square_2torsion(class_group(d))
 
 
 def test_lemma1_examples():

@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from math import gcd, isqrt
+from math import fsum, gcd, isqrt, log, pi, sin, sqrt
 
 import pytest
 
@@ -205,24 +205,38 @@ def test_indefinite_narrow_class_count():
         assert len(_narrow_classes(d, class_group(d).classes)) == h, d
 
 
-def _reference_narrow_count(d):
-    """h+(d): the number of rho cycles that the reduced forms of
-    _reference_indefinite_forms fall into.  Rho on a reduced form (a, b, c)
-    is (c, b', *) with b' = -b (mod 2c) and sqrt(d) - 2|c| < b' < sqrt(d)."""
+def _reference_cycles(d):
+    """The rho cycles that the reduced forms of _reference_indefinite_forms
+    fall into, each from its first form in that enumeration, in order of
+    those first forms.  Rho on a reduced form (a, b, c) is (c, b', *) with
+    b' = -b (mod 2c) and sqrt(d) - 2|c| < b' < sqrt(d)."""
     s = isqrt(d)
-    unseen = set(_reference_indefinite_forms(d))
-    cycles = 0
-    while unseen:
-        f = start = unseen.pop()
-        cycles += 1
+    forms = _reference_indefinite_forms(d)
+    cycles = []
+    seen = set()
+    for start in forms:
+        if start in seen:
+            continue
+        cycle = [start]
+        f = start
         while True:
             m = 2 * abs(f.c)
             b = s - (s + f.b) % m
             f = QuadForm(f.c, b, (b * b - d) // (4 * f.c))
             if f == start:
                 break
-            unseen.remove(f)
+            cycle.append(f)
+        seen.update(cycle)
+        cycles.append(cycle)
+    # Rho permutes the reduced forms: the cycles share no form and meet no
+    # other.
+    assert len(seen) == sum(map(len, cycles)) == len(forms), d
     return cycles
+
+
+def _reference_narrow_count(d):
+    """h+(d): the number of rho cycles of reduced forms."""
+    return len(_reference_cycles(d))
 
 
 def test_real_class_number_is_the_narrow_one_halved_by_a_norm_one_unit():
@@ -234,6 +248,45 @@ def test_real_class_number_is_the_narrow_one_halved_by_a_norm_one_unit():
             halved += 1
         assert class_group(d).h == narrow, d
     assert halved, "no d with a unit of norm +1"
+
+
+def test_real_class_group_starts_walks_below_half_the_root():
+    # Rho leads the step after (a, b, c) with c, and 4|a||c| = d - b^2 < d,
+    # so every cycle holds a form with 2|a| <= isqrt(d).  class_group walks
+    # only from those, and must still keep what the rule over every reduced
+    # form keeps: the first form not yet seen, its cycle and the negated
+    # cycle marked seen.
+    missed = []
+    for d in _fundamentals(5, 20000):
+        s = isqrt(d)
+        cycles = _reference_cycles(d)
+        for cycle in cycles:
+            assert any(2 * abs(f.a) <= s for f in cycle), (d, cycle)
+            if not any(abs(f.a) <= s // 2 - 1 for f in cycle):
+                missed.append(d)
+        seen = set()
+        reps = []
+        for cycle in cycles:
+            if cycle[0] in seen:
+                continue
+            reps.append(cycle[0])
+            seen.update(cycle)
+            seen.update(_negated(f) for f in cycle)
+        assert class_group(d).classes == tuple(reps), d
+    # The limit isqrt(d) // 2 - 1 would miss 5 cycles here.
+    assert missed == [5, 8, 12, 12, 13], missed
+
+
+def test_real_class_numbers_match_the_analytic_formula():
+    # Dirichlet's class number formula for a fundamental d > 0,
+    # h log(eps) = -sum over 1 <= a < d/2 of (d/a) log sin(pi a / d),
+    # checks class_group's h and fundamental_unit's eps = (x + y sqrt(d)) / 2
+    # by a method that uses no form.
+    for d in _fundamentals(5, 3000):
+        unit = fundamental_unit(d)
+        log_eps = log((unit.x + unit.y * sqrt(d)) / 2)
+        hlog = -fsum(kronecker(d, a) * log(sin(pi * a / d)) for a in range(1, (d + 1) // 2))
+        assert abs(hlog / log_eps - class_group(d).h) < 0.25, d
 
 
 def test_real_class_group_walks_one_cycle_per_wide_class(monkeypatch):
@@ -344,8 +397,8 @@ def test_is_principal_against_both_cycle_walks():
         b0 = p.b
         neg = reduce_form(QuadForm(-1, b0, (d - b0 * b0) // 4))
         wide = set(_cycle(d, p)) | set(_cycle(d, neg))
-        for f in _reduced_indefinite_forms(d):
-            assert is_principal(d, f) == (f in wide), (d, f)
+        for f in _reduced_indefinite_forms(d, isqrt(d)):
+            assert is_principal(d, QuadForm(*f)) == (f in wide), (d, f)
             verdicts[f in wide] += 1
     assert verdicts[True] and verdicts[False], verdicts
 
@@ -677,7 +730,7 @@ def _assert_reaches_prime_powers(forms_by_d):
     odd = two = False
     for d, forms in forms_by_d:
         for f in forms:
-            ps = factor(abs(f.a))
+            ps = factor(abs(f[0]))
             if len(ps) >= 2 and len(set(ps)) == 1:
                 odd |= ps[0] > 2
                 two |= ps[0] == 2 and len(ps) >= 3 and d % 8 == 1
@@ -724,8 +777,12 @@ def test_reduced_indefinite_forms_match_reference():
     discs += _random_fundamentals(32, 100, 20001, 3 * 10**6, 1)
     classed = _random_fundamentals_by_class(41, 10, 20001, 3 * 10**6, 1)
     for d in discs + classed:
-        assert _reduced_indefinite_forms(d) == _reference_indefinite_forms(d), d
-    _assert_reaches_prime_powers((d, _reduced_indefinite_forms(d)) for d in classed)
+        s = isqrt(d)
+        reference = _reference_indefinite_forms(d)
+        assert _reduced_indefinite_forms(d, s) == reference, d
+        small = [f for f in reference if 2 * abs(f.a) <= s]
+        assert _reduced_indefinite_forms(d, s // 2) == small, d
+    _assert_reaches_prime_powers((d, _reduced_indefinite_forms(d, isqrt(d))) for d in classed)
 
 
 # sha256 of the JSON list of [d, reduced forms] below, recorded before the
@@ -738,7 +795,7 @@ def test_reduced_forms_near_the_bound_pinned():
     neg = _random_fundamentals(35, 20, 9_900_000, 10**7, -1)
     pos = _random_fundamentals(36, 20, 9_900_000, 10**7, 1)
     rows = [[d, [list(f) for f in _reduced_definite_forms(d)]] for d in neg]
-    rows += [[d, [list(f) for f in _reduced_indefinite_forms(d)]] for d in pos]
+    rows += [[d, [list(f) for f in _reduced_indefinite_forms(d, isqrt(d))]] for d in pos]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == FORMS_NEAR_BOUND_SHA256
 
@@ -749,6 +806,20 @@ def test_reduced_forms_near_the_bound_pinned():
 # cycle representatives and the 2-Sylow walk follow; a positive d's wide
 # classes are expanded to the narrow list that was hashed.
 CLASS_GROUP_SHA256 = "b7e583763593c0864f169b29ade73e79e08d6d699a53e7bf35bde3e79cb914b8"
+
+
+# sha256 of the JSON list of [d, classes] below, recorded before class_group
+# started its walks only from the forms with 2|a| <= isqrt(d).
+REAL_CLASS_GROUPS_NEAR_BOUND_SHA256 = (
+    "96ad1e2ba868e27696edfb22b85d832b7ef947ca082270775933e80b521c6343"
+)
+
+
+def test_real_class_groups_near_the_bound_pinned():
+    discs = _random_fundamentals(37, 20, 9_900_000, 10**7, 1)
+    rows = [[d, [list(f) for f in class_group(d).classes]] for d in discs]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == REAL_CLASS_GROUPS_NEAR_BOUND_SHA256
 
 
 def test_class_groups_pinned():
