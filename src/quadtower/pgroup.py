@@ -21,9 +21,9 @@ constructor.  Abelian invariants of h/N come from the spans <N, x^(2^j)> of
 powers of h's generators, through the kernel the class groups use
 (quadforms.abelian_type_from_powers).  One coset map, `cosets`, serves
 quotients.  A transfer kernel of K/K' -> H/H', (K:H) = 2, is read over a
-transversal of K' in K: the box of products b_1^e_1 ... b_r^e_r of powers
-of K's generators when their orders modulo K' multiply to |K/K'|, and
-otherwise the first element met of each coset.  On the box the transfer, a
+transversal of K' in K, the box of products b_1^e_1 ... b_r^e_r,
+0 <= e_i < o_i, of K's generators with their relative orders o_i, each
+b_i's order modulo K' and the b_j before it.  On the box the transfer, a
 homomorphism into the abelian H/H', costs one product per element, from its
 values on the generators, with z the first of them outside H; each kernel
 preimage is K' extended by the transversal elements it needs.  PGroup and
@@ -583,36 +583,46 @@ def transfer_values(K: Subgroup, H: Subgroup, xs) -> list:
 
 
 def _box_orders(K: Subgroup, index: int):
-    """The generators b_i of the 2-group K that lie outside K', and their
-    orders o_i modulo K', read off repeated squaring, when those orders
-    certify the box over them (_box) as a transversal of K' in K, with
-    index = |K/K'|; otherwise None.
+    """(gens, orders, box): the generators b_i of the 2-group K that enlarge
+    <K', b_1 .. b_(i-1)>, their relative orders o_i, the least with b_i^o_i
+    in that span, and the box over them (_box), a transversal of K' in K of
+    index = |K/K'| entries (a polycyclic sequence of K/K'; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, 8.1).
 
-    The box maps onto the abelian K/K', which the b_i span, so it is a
-    transversal exactly when prod o_i = index.  The search stops as soon as
-    the product of the orders found so far passes the index."""
+    The box's cosets form the span in the abelian K/K', so o_i is a power
+    of 2, read off repeated squaring.  y lies in the span when the coset
+    y K' meets the box, tested from the smaller side: y w in the box for
+    some w in K', or y^-1 x in K' for some x in the box.  The walk stops
+    once the box has index entries."""
     g = K.group
     kprime = K.derived.elements
-    gens, orders, total = [], [], 1
+    gens, orders, box = [], [], [g.identity]
+    boxset = set(box)
+
+    def spanned(y):
+        if len(kprime) <= len(box):
+            return any(g.mul(y, w) in boxset for w in kprime)
+        yi = g.inv(y)
+        return any(g.mul(yi, x) in kprime for x in box)
+
     for b in K.generators:
+        if len(box) == index:
+            break
         o, y = 1, b
-        while y not in kprime:
+        while not spanned(y):
             o *= 2
-            if total * o > index:
-                return None
             y = g.mul(y, y)
         if o > 1:
             gens.append(b)
             orders.append(o)
-            total *= o
-    return (gens, orders) if total == index else None
+            boxset.update(_box(g, box, [b], [o]))
+    return gens, orders, box
 
 
-def _box(g, xs, orders) -> list:
-    """The products x_1^e_1 ... x_r^e_r, 0 <= e_i < o_i, one product each:
-    with L the length of the box over x_1 .. x_(i-1), entry k L + j is
-    entry j times x_i^k."""
-    box = [g.identity]
+def _box(g, box, xs, orders) -> list:
+    """box, extended in place to the products of its entries with
+    x_1^e_1 ... x_r^e_r, 0 <= e_i < o_i, one product each: with L the
+    length of the box before x_i, entry k L + j is entry j times x_i^k."""
     for x, o in zip(xs, orders):
         for p in range(len(box) * (o - 1)):
             box.append(g.mul(box[p], x))
@@ -623,13 +633,11 @@ def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
     """Kernels of the induced maps K/K' -> H/H', one per H of index 2 in K
     in `targets`, from one K' and one transversal of K' in K.
 
-    The transversal is the box over K's generators (_box_orders, _box), on
-    which V is the box over its values on those generators, one product per
-    element, since V is a homomorphism (transfer_values): the transversal
-    and each target's values cost products in proportion to |K/K'|, not
-    to |K|.  Where the orders of the generators modulo K' do not certify a
-    box, the transversal is the first element met of each coset, marked
-    coset by coset in K's own order, and V is computed on each.
+    The transversal is the box over K's generators and their relative
+    orders (_box_orders), on which V is the box over its values on those
+    generators, one product per element, since V is a homomorphism
+    (transfer_values): each target's values cost products in proportion to
+    |K/K'|, not to |K|.
 
     Each kernel comes as (order, ker): ker is its preimage in K, K'
     extended by each transversal element whose transfer lies in H' and that
@@ -639,26 +647,11 @@ def transfer_kernel(K: Subgroup, targets) -> list[tuple[int, Subgroup]]:
     """
     g = K.group
     kprime = K.derived
-    box = _box_orders(K, K.order // kprime.order)
-    if box is None:
-        # K's elements are met once each, so x itself need not be marked.
-        others = kprime.elements - {g.identity}
-        reps = []
-        seen = set()
-        for x in K.elements:
-            if x not in seen:
-                reps.append(x)
-                seen.update(g.mul(x, w) for w in others)
-    else:
-        gens, orders = box
-        reps = _box(g, gens, orders)
+    gens, orders, reps = _box_orders(K, K.order // kprime.order)
     out = []
     for H in targets:
         hprime = H.derived.elements
-        if box is None:
-            values = transfer_values(K, H, reps)
-        else:
-            values = _box(g, transfer_values(K, H, gens), orders)
+        values = _box(g, [g.identity], transfer_values(K, H, gens), orders)
         inside = [x for x, val in zip(reps, values) if val in hprime]
         out.append((len(inside), _span_over(kprime, inside)))
     return out

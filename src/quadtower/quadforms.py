@@ -7,13 +7,14 @@ forms.  Negation (a, b, c) -> (-a, b, -c) keeps a form reduced, commutes
 with rho, and sends a cycle onto that of the other narrow class in its
 wide class (Cohen, ch. 5; Buell, Binary Quadratic Forms, ch. 3), so one
 walk covers both.  The walks start only from the reduced forms with
-2|a| <= isqrt(d): rho leads the step after a reduced (a, b, c) with c, and
-4|a||c| = d - b^2 < d, so every cycle holds such a form.  Each wide class
-keeps the least form of its cycle and the negated one in order of b, then
-|a|, then the positive a first, which is the first form of the class that
-the enumeration of all reduced forms meets.  Every rho walk is one int
-loop, with isqrt(d) taken once per walk.  Everything is exact integer
-arithmetic on fundamental discriminants.
+5a^2 <= d: every form takes a nonzero value |m| <= sqrt(d / 5) (Markov;
+Hurwitz), and a properly represented |m| < sqrt(d) / 2 leads a reduced
+form of its cycle (Lagrange), so every cycle holds such a form.  Each
+wide class keeps the least form of its cycle and the negated one in order
+of b, then |a|, then the positive a first, which is the first form of the
+class that the enumeration of all reduced forms meets.  Every rho walk is
+one int loop, with isqrt(d) taken once per walk.  Everything is exact
+integer arithmetic on fundamental discriminants.
 
 Reduced forms of either sign come from one kernel that walks a: a reduced
 form (a, b, c) has b^2 = d (mod 4a) with a <= sqrt(|d| / 3) (d < 0) or
@@ -576,16 +577,18 @@ def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:
     """Full class group (negative d) or one reduced form per wide class
     (positive d).
 
-    For d > 0 the walks start only from the reduced forms with
-    2|a| <= isqrt(d).  That meets every cycle: rho leads the step after a
-    reduced (a, b, c) with c, and 4|a||c| = d - b^2 < d, so one of |a|, |c|
-    is below sqrt(d) / 2.  Each such form whose wide class is not yet seen
-    starts one rho-cycle walk, which covers the negated cycle too.  The
-    class keeps the least form of the two cycles in the enumeration order
-    of all reduced forms, b, then |a|, then the positive a first: the form
-    (|a|, b, -|c|) of the cycle's least (b, |a|).  The representatives are
-    sorted in that order, so each is the first form of its wide class that
-    the full enumeration meets."""
+    For d > 0 the walks start only from the reduced forms with 5a^2 <= d,
+    |a| <= isqrt(d // 5).  That meets every cycle: a form of discriminant
+    d takes a nonzero value |m| <= sqrt(d / 5) (Markov; Hurwitz), at a
+    primitive vector, as any least value is, and a properly represented
+    |m| < sqrt(d) / 2 leads a reduced form of the form's cycle (Lagrange).
+    Each such form whose wide class is not yet seen starts one rho-cycle
+    walk, which covers the negated cycle too.  The class keeps the least
+    form of the two cycles in the enumeration order of all reduced forms,
+    b, then |a|, then the positive a first: the form (|a|, b, -|c|) of the
+    cycle's least (b, |a|).  The representatives are sorted in that order,
+    so each is the first form of its wide class that the full enumeration
+    meets."""
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not a fundamental discriminant")
     if _is_square(d):
@@ -599,7 +602,7 @@ def class_group(d: int, bound: int = DEFAULT_ENUM_BOUND) -> ClassGroup:
     least: list[tuple[int, int]] = []
     # The forms come in pairs f = (a, b, c), (-a, b, -c), and a pair is
     # seen when either is.
-    for f in _reduced_indefinite_forms(d, isqrt(d) // 2)[::2]:
+    for f in _reduced_indefinite_forms(d, isqrt(d // 5))[::2]:
         a, b, c = f
         if f in seen or (-a, b, -c) in seen:
             continue

@@ -1,6 +1,7 @@
 """The finite 2-group engine: collection, subgroups, transfers, invariants."""
 
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -345,13 +346,14 @@ def test_transfer_values_against_definition():
                     assert g.mul(g.inv(expected), value) in hprime
 
 
-@pytest.mark.parametrize("n, m, top_count, h2_count", [(3, 5, 1598, 1152), (6, 2, 2329, 1561)])
+@pytest.mark.parametrize("n, m, top_count, h2_count", [(3, 5, 1620, 275), (6, 2, 2366, 1084)])
 def test_transfer_kernel_against_definition_at_order_2048(n, m, top_count, h2_count, monkeypatch):
-    # The crosscheck's largest orders: K = G with H_1..H_7 takes the box
-    # transversal, and the capitulation pair K = H_2, whose 5 generators do
-    # not certify a box, takes the coset-marking one.  Each call's exact
-    # PGroup.mul count is pinned, with K' and every H' built first, so that
-    # products in proportion to |K| where |K/K'| would do show.
+    # The crosscheck's largest orders: K = G with H_1..H_7, and the
+    # capitulation pair K = H_2, whose 5 generators are dependent modulo
+    # H_2'.  Both read the kernels over a box of exactly |K/K'| entries.
+    # Each call's exact PGroup.mul count is pinned, with K' and every H'
+    # built first, so that products in proportion to |K| where |K/K'|
+    # would do show.
     g = gamma(n, m, 1)
     top = whole_group(g)
     subs, phi = standard_maximal_subgroups(top)
@@ -359,13 +361,13 @@ def test_transfer_kernel_against_definition_at_order_2048(n, m, top_count, h2_co
     for sub in [top, h2, inter] + subs:
         sub.derived
     products = _count_products(monkeypatch)
-    paths, kernels, computed = [], [], []
+    boxes, kernels, computed = [], [], []
     real = pgroup._box_orders
 
     def recording(K, index):
-        box = real(K, index)
-        paths.append((K, box is not None))
-        return box
+        gens, orders, box = real(K, index)
+        boxes.append((K, len(box)))
+        return gens, orders, box
 
     monkeypatch.setattr(pgroup, "_box_orders", recording)
     pairs = ((top, subs), (h2, [inter]))
@@ -384,7 +386,36 @@ def test_transfer_kernel_against_definition_at_order_2048(n, m, top_count, h2_co
             assert order * K.derived.order == ker.order
             _assert_small_generating_set(ker)
     assert len(h2.generators) == 5
-    assert paths == [(top, True), (h2, False)]
+    assert boxes == [(K, K.order // K.derived.order) for K, _ in pairs]
+
+
+def test_box_is_a_transversal_of_the_derived_subgroup():
+    # Every Gamma of order at most 2^9, and three of order 2^11.  For m = 1
+    # H_2 is abelian, so K' is trivial; H_2's generators are dependent
+    # modulo H_2'.  For G, H_1..H_7 and H_1 cap H_2 the box over relative
+    # orders has |K/K'| entries, whose cosets of K' cover K, so they are
+    # pairwise disjoint; the kernels read over it for the crosscheck's
+    # pairs are the kernels by definition.
+    groups = [gamma(n, m, eps) for n in range(1, 6) for m in range(1, 7 - n) for eps in (0, 1)]
+    groups += [gamma(3, 5, 1), gamma(6, 2, 1), gamma(7, 1, 1)]
+    for g in groups:
+        top = whole_group(g)
+        subs, phi = standard_maximal_subgroups(top)
+        h2, inter = capitulation_subgroups(subs, phi)
+        for K in [top, *subs, inter]:
+            kprime = K.derived.elements
+            index = K.order // len(kprime)
+            _, orders, box = pgroup._box_orders(K, index)
+            assert len(box) == math.prod(orders) == index, (g.params, K.generators)
+            assert len({g.mul(x, w) for x in box for w in kprime}) == K.order
+        for K, targets in ((top, subs), (h2, [inter])):
+            for H, (order, ker) in zip(targets, transfer_kernel(K, targets)):
+                hprime = H.derived.elements
+                expected = {
+                    x for x in K.elements if _transfer_by_definition(K, H, x) in hprime
+                }
+                assert ker.elements == expected, (g.params, K.generators)
+                assert order * K.derived.order == ker.order
 
 
 def test_quotient_group():

@@ -196,6 +196,12 @@ PINS = [
      "7f555147f1640b291070e19d263e0758b608be5960c69010a757b992be1a251b", "fast"),
     ("--format json group 4 4 1 --report transfers",
      "8b5f44686f63538331ed1eb97fc8b479baffdfe3614543e775377b7d8d420914", "fast"),
+    ("--format json group 7 1 1 --report transfers",
+     "ba20b2438565ea249c82dc5020e3802fde5cd454aed1e1fde591547240b174e7", "fast"),
+    ("--format json group 3 5 1 --report transfers",
+     "5a0197e22527152d1554bff6c885f1bf0d393bb881db2dd6ee5aa60dbca24560", "fast"),
+    ("--format json group 1 7 0 --report transfers",
+     "8e68252ca8339ba62966153d959114c87b9ed262d7b81ede955ad5640f10238e", "fast"),
     ("--format json verify",
      "4b9c74c2e7b04392d85e41e443436c179062b64b0862f0e914d4b19c0caa04a2", "slow"),
 ]

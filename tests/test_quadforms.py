@@ -252,16 +252,18 @@ def test_real_class_number_is_the_narrow_one_halved_by_a_norm_one_unit():
 
 def test_real_class_group_starts_walks_below_half_the_root():
     # Rho leads the step after (a, b, c) with c, and 4|a||c| = d - b^2 < d,
-    # so every cycle holds a form with 2|a| <= isqrt(d).  class_group walks
-    # only from those, and must still keep what the rule over every reduced
-    # form keeps: the first form not yet seen, its cycle and the negated
-    # cycle marked seen.
+    # so every cycle holds a form with 2|a| <= isqrt(d); by Markov, Hurwitz
+    # and Lagrange every cycle even holds one with 5a^2 <= d.  class_group
+    # walks only from those, and must still keep what the rule over every
+    # reduced form keeps: the first form not yet seen, its cycle and the
+    # negated cycle marked seen.
     missed = []
     for d in _fundamentals(5, 20000):
         s = isqrt(d)
         cycles = _reference_cycles(d)
         for cycle in cycles:
             assert any(2 * abs(f.a) <= s for f in cycle), (d, cycle)
+            assert any(5 * f.a * f.a <= d for f in cycle), (d, cycle)
             if not any(abs(f.a) <= s // 2 - 1 for f in cycle):
                 missed.append(d)
         seen = set()
