@@ -31,7 +31,6 @@ from .quadforms import (
     QuadForm,
     class_group,
     compose,
-    fundamental_unit,
     prime_form,
     reduce_form,
     two_part,
@@ -55,7 +54,6 @@ __all__ = [
     "crosscheck",
     "factor",
     "fingerprint",
-    "fundamental_unit",
     "gamma",
     "gamma4r",
     "genus_field_h2",

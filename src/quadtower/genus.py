@@ -3,9 +3,12 @@
 Genus characters attach a sign chi_{d_i}(c) to each form class c and each prime
 discriminant d_i dividing the field discriminant; the product of all signs on a
 class is always +1 (for d > 0 on narrow classes: f and -f may differ).  The
-square-torsion computation identifies the unique 2-torsion class that is a
-square, directly from the explicit class group.  Lemma 1 reads a real
-field's wide 2-class number off class_group.
+square 2-torsion Cl[2] meets Cl^2 in the ambiguous classes of the principal
+genus: a class is its own inverse exactly when its reduced form is ambiguous,
+and the classes on which every genus character is +1 are exactly the squares
+(Gauss's principal genus theorem; Cox, Primes of the Form x^2 + ny^2, sec. 3),
+so no class is composed.  Lemma 1 reads a real field's wide 2-class number
+off class_group.
 """
 
 from __future__ import annotations
@@ -25,12 +28,10 @@ from .quadforms import (
     DEFAULT_ENUM_BOUND,
     ClassGroup,
     QuadForm,
+    _is_ambiguous,
     class_group,
-    compose,
     is_principal,
     prime_form,
-    principal_form,
-    reduce_form,
     two_part,
 )
 
@@ -60,20 +61,22 @@ def _coprime_positive_value(f: QuadForm, modulus: int) -> int:
 def chi_eval(d: int, d_i: PrimeDiscriminant, f: QuadForm) -> int:
     """Genus character chi_{d_i} evaluated on the class of f.
 
-    Returns kronecker(d_i, v) for a represented value v > 0 coprime to d;
-    the result does not depend on the choice of v.
+    characters(d, f)[d_i], after refusing a form of another discriminant
+    and a d_i that is not a prime discriminant of d, in that order and
+    before any value search.
     """
     if f.disc != d:
         raise DiscriminantMismatch(f"form of discriminant {f.disc}, field {d}")
     if d_i not in prime_discriminants(d):
         raise NotFundamental(f"{d_i.value} is not a prime discriminant of {d}")
-    v = _coprime_positive_value(f, d)
-    return kronecker(d_i.value, v)
+    return characters(d, f)[d_i]
 
 
 def characters(d: int, f: QuadForm) -> dict[PrimeDiscriminant, int]:
-    """chi_eval(d, d_i, f) for every prime discriminant d_i of d, keyed by
-    d_i, from one value search."""
+    """The genus characters chi_{d_i} on the class of f, keyed by each prime
+    discriminant d_i of d: kronecker(d_i, v) for one represented value
+    v > 0 coprime to d, found by one search; the result does not depend on
+    the choice of v."""
     if f.disc != d:
         raise DiscriminantMismatch(f"form of discriminant {f.disc}, field {d}")
     v = _coprime_positive_value(f, d)
@@ -81,19 +84,22 @@ def characters(d: int, f: QuadForm) -> dict[PrimeDiscriminant, int]:
 
 
 def square_2torsion(group: ClassGroup) -> list[QuadForm]:
-    """Representatives of Cl(d)^2 intersected with Cl(d)[2], for d < 0.
+    """Representatives of Cl(d)^2 intersected with Cl(d)[2], for d < 0, in
+    the order of group.classes.
 
-    Computed directly from the explicit class group: the set of squares of all
-    classes intersected with the set of classes of order dividing 2.  A
-    positive d raises NotImaginary: its classes compose to some form of the
-    product's cycle, which no comparison with one reduced form can place.
+    These are the ambiguous classes (Cl[2]) on which every genus character
+    is +1 (the principal genus, Cl^2), so no class is composed.  A positive
+    d raises NotImaginary: its classes are reduced indefinite forms, one
+    per wide class, which the ambiguity rule of reduced definite forms does
+    not describe.
     """
-    if group.disc > 0:
-        raise NotImaginary(f"square_2torsion needs a negative discriminant, not {group.disc}")
-    one = reduce_form(principal_form(group.disc))
-    squared = [compose(f, f) for f in group.classes]
-    torsion = {f for f, f2 in zip(group.classes, squared) if f2 == one}
-    return sorted(torsion.intersection(squared))
+    d = group.disc
+    if d > 0:
+        raise NotImaginary(f"square_2torsion needs a negative discriminant, not {d}")
+    return [
+        f for f in group.classes
+        if _is_ambiguous(f) and all(v == 1 for v in characters(d, f).values())
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Class groups, principality tests, and fundamental units via binary quadratic forms.
+"""Class groups and principality tests via binary quadratic forms.
 
 Class groups are wide (ordinary) for either sign: negative discriminants
 get the full class group with composition; positive ones get one reduced
@@ -152,18 +152,11 @@ def abelian_type_from_powers(order: int, gens, square, span) -> AbelianType:
     return abelian_type_from_counts(counts)
 
 
-@dataclass(frozen=True)
-class Unit:
-    """Fundamental solution of x^2 - d y^2 = 4 * norm."""
-
-    x: int
-    y: int
-    norm: int
-
-
 def principal_form(d: int) -> QuadForm:
     """The principal form of discriminant d: (1, d mod 2, ...) for d < 0,
-    (1, b0, ...) with the largest b0 <= sqrt(d) of correct parity for d > 0."""
+    (1, b0, ...) with the largest b0 <= sqrt(d) of correct parity for d > 0.
+    It is reduced for every non-square discriminant d (for d > 0,
+    0 < b0 < sqrt(d) < b0 + 2), so it needs no reduce_form."""
     if d < 0:
         b = d & 1
     else:
@@ -175,6 +168,13 @@ def principal_form(d: int) -> QuadForm:
 # ---------------------------------------------------------------------------
 # Reduction
 # ---------------------------------------------------------------------------
+
+def _is_ambiguous(f: QuadForm) -> bool:
+    """Whether a reduced definite form is ambiguous, b = 0, b = a or a = c:
+    exactly then does (a, -b, c), of the inverse class, reduce to f."""
+    a, b, c = f
+    return b == 0 or b == a or a == c
+
 
 def _reduce_definite(d: int, a: int, b: int, c: int) -> QuadForm:
     """The reduced form equivalent to (a, b, c) of discriminant d < 0, with
@@ -531,7 +531,7 @@ def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
     """Invariant factors of the 2-Sylow subgroup A of the class group.
 
     A class is its own inverse exactly when its reduced form is ambiguous
-    (b = 0, b = a or a = c), so the ambiguous forms among `classes` count
+    (_is_ambiguous), so the ambiguous forms among `classes` count
     A[2], of order 2^r, with no composition.  Only 2A, of order h2 / 2^r,
     is spanned: the 2*odd-th powers of the other classes with b > 0 (an
     inverse (a, -b, c) spans the same cyclic group, and an ambiguous class
@@ -544,7 +544,7 @@ def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
     """
     h = len(classes)
     h2 = h & -h
-    torsion = sum(1 for a, b, c in classes if b == 0 or b == a or a == c)
+    torsion = sum(1 for f in classes if _is_ambiguous(f))
     if not torsion or h2 % torsion:
         raise StructureMismatch(
             f"the classes of discriminant {d} have {torsion} ambiguous forms,"
@@ -555,8 +555,8 @@ def _sylow2_type(classes: list[QuadForm], d: int) -> AbelianType:
     if order == 1:
         return AbelianType((2,) * r)
     odd = h // h2
-    ident = _reduce_definite(d, *principal_form(d))
-    powers = (form_pow(f, 2 * odd) for f in classes if 0 < f.b < f.a < f.c)
+    ident = principal_form(d)
+    powers = (form_pow(f, 2 * odd) for f in classes if f.b > 0 and not _is_ambiguous(f))
     size, gens = _span(powers, ident, order)
     if size != order:
         raise StructureMismatch(
@@ -619,7 +619,10 @@ def two_part(g: ClassGroup) -> tuple[int, AbelianType | None]:
 
 
 def prime_form(d: int, ell: int) -> QuadForm:
-    """A form (ell, b, c) of discriminant d representing a prime ideal above ell."""
+    """A form (ell, b, c) of discriminant d representing a prime ideal above
+    the prime ell.  An ell that is not prime raises InvalidArgument."""
+    if not arith.is_prime(ell):
+        raise InvalidArgument(f"prime_form needs a prime, not {ell}")
     if arith.kronecker(d, ell) == -1:
         raise InertPrime(f"{ell} is inert in discriminant {d}")
     for b in range(0, 2 * ell + 1):
@@ -639,31 +642,7 @@ def is_principal(d: int, f: QuadForm) -> bool:
         raise DiscriminantMismatch(f"form discriminant {f.disc} != {d}")
     r = reduce_form(f)
     if d < 0:
-        return r == reduce_form(principal_form(d))
-    cyc = set(_cycle(d, reduce_form(principal_form(d))))
+        return r == principal_form(d)
+    cyc = set(_cycle(d, principal_form(d)))
     return r in cyc or (-r.a, r.b, -r.c) in cyc
 
-
-def fundamental_unit(d: int) -> Unit:
-    """Minimal unit > 1 of discriminant d as a solution of x^2 - d y^2 = +-4,
-    computed from the automorph matrix of the principal cycle."""
-    if d < 0:
-        raise InvalidArgument(f"fundamental_unit needs a positive discriminant, not {d}")
-    if d % 4 > 1:
-        raise InvalidArgument(f"{d} is not a discriminant: it is {d % 4} mod 4")
-    cycle = _cycle(d, reduce_form(principal_form(d)))
-    # Accumulate the rho-step matrices [[0, -1], [1, s]], s = (b + b') / (2c).
-    m11, m12, m21, m22 = 1, 0, 0, 1
-    for (_, b, c), (_, b2, _) in zip(cycle, cycle[1:] + cycle[:1]):
-        s = (b + b2) // (2 * c)
-        m11, m12, m21, m22 = m12, -m11 + s * m12, m22, -m21 + s * m22
-    t = abs(m11 + m22)
-    u = abs(m21)
-    if t * t - d * u * u != 4:
-        raise StructureMismatch(f"automorph trace {t} of discriminant {d} gives no unit")
-    x = isqrt(t - 2) if t >= 2 else 0
-    if x > 0 and x * x == t - 2 and u % x == 0:
-        y = u // x
-        if x * x - d * y * y == -4:
-            return Unit(x, y, -1)
-    return Unit(t, u, 1)

@@ -494,7 +494,7 @@ def criterion_oracles(
             survey_groups[d] = group
         cls = group.classes
         index = {f: i for i, f in enumerate(cls)}
-        one = reduce_form(principal_form(d))
+        one = principal_form(d)
         triples = []
         if one in index:
             triples = [tuple(index[rng.choice(cls)] for _ in range(3)) for _ in range(10)]

