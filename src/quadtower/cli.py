@@ -305,9 +305,19 @@ def main(argv: list[str] | None = None) -> int:
         if k not in ("command",) and v is not None
     }
     try:
-        return _COMMANDS[args.command](args, config)
+        code = _COMMANDS[args.command](args, config)
+        # A reader that closed stdout early is seen here at the latest.
+        sys.stdout.flush()
+        return code
     except QuadTowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointing it at devnull keeps
+        # that flush silent (the "Note on SIGPIPE" in Python's signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

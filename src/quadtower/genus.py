@@ -7,8 +7,11 @@ square 2-torsion Cl[2] meets Cl^2 in the ambiguous classes of the principal
 genus: a class is its own inverse exactly when its reduced form is ambiguous,
 and the classes on which every genus character is +1 are exactly the squares
 (Gauss's principal genus theorem; Cox, Primes of the Form x^2 + ny^2, sec. 3),
-so no class is composed.  Lemma 1 reads a real field's wide 2-class number
-off class_group.
+so no class is composed.  A discriminant is factored into its prime
+discriminants once, and each class then costs one value search and one
+Kronecker symbol per prime discriminant (_characters), in characters,
+chi_eval, square_2torsion and criterion 10's survey alike.  Lemma 1 reads a
+real field's wide 2-class number off class_group.
 """
 
 from __future__ import annotations
@@ -58,6 +61,16 @@ def _coprime_positive_value(f: QuadForm, modulus: int) -> int:
     )
 
 
+def _characters(
+    d: int, parts: frozenset[PrimeDiscriminant], f: QuadForm
+) -> dict[PrimeDiscriminant, int]:
+    """The genus characters on the class of f, a form of discriminant d,
+    keyed by parts, the prime discriminants of d: kronecker(d_i, v) for one
+    represented value v > 0 coprime to d."""
+    v = _coprime_positive_value(f, d)
+    return {d_i: kronecker(d_i.value, v) for d_i in parts}
+
+
 def chi_eval(d: int, d_i: PrimeDiscriminant, f: QuadForm) -> int:
     """Genus character chi_{d_i} evaluated on the class of f.
 
@@ -67,20 +80,21 @@ def chi_eval(d: int, d_i: PrimeDiscriminant, f: QuadForm) -> int:
     """
     if f.disc != d:
         raise DiscriminantMismatch(f"form of discriminant {f.disc}, field {d}")
-    if d_i not in prime_discriminants(d):
+    parts = prime_discriminants(d)
+    if d_i not in parts:
         raise NotFundamental(f"{d_i.value} is not a prime discriminant of {d}")
-    return characters(d, f)[d_i]
+    return _characters(d, parts, f)[d_i]
 
 
 def characters(d: int, f: QuadForm) -> dict[PrimeDiscriminant, int]:
     """The genus characters chi_{d_i} on the class of f, keyed by each prime
     discriminant d_i of d: kronecker(d_i, v) for one represented value
     v > 0 coprime to d, found by one search; the result does not depend on
-    the choice of v."""
+    the choice of v.  d is factored on every call; a loop over the classes
+    of one d factors it once and calls _characters."""
     if f.disc != d:
         raise DiscriminantMismatch(f"form of discriminant {f.disc}, field {d}")
-    v = _coprime_positive_value(f, d)
-    return {d_i: kronecker(d_i.value, v) for d_i in prime_discriminants(d)}
+    return _characters(d, prime_discriminants(d), f)
 
 
 def square_2torsion(group: ClassGroup) -> list[QuadForm]:
@@ -88,7 +102,8 @@ def square_2torsion(group: ClassGroup) -> list[QuadForm]:
     the order of group.classes.
 
     These are the ambiguous classes (Cl[2]) on which every genus character
-    is +1 (the principal genus, Cl^2), so no class is composed.  A positive
+    is +1 (the principal genus, Cl^2), so no class is composed; d is
+    factored into its prime discriminants once for all of them.  A positive
     d raises NotImaginary: its classes are reduced indefinite forms, one
     per wide class, which the ambiguity rule of reduced definite forms does
     not describe.
@@ -96,9 +111,10 @@ def square_2torsion(group: ClassGroup) -> list[QuadForm]:
     d = group.disc
     if d > 0:
         raise NotImaginary(f"square_2torsion needs a negative discriminant, not {d}")
+    parts = prime_discriminants(d)
     return [
         f for f in group.classes
-        if _is_ambiguous(f) and all(v == 1 for v in characters(d, f).values())
+        if _is_ambiguous(f) and all(v == 1 for v in _characters(d, parts, f).values())
     ]
 
 

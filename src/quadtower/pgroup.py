@@ -44,6 +44,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
+from math import floor
 
 from .errors import (
     BoundExceeded,
@@ -764,10 +765,19 @@ def _product_rows(mul, els, index):
     return list(map(Row, els))
 
 
+def _draw(rng, n: int, k: int) -> list[int]:
+    """k indices drawn from range(n): exactly rng.choices(range(n), k=k),
+    the same values from the same calls to rng.random, without indexing
+    the range."""
+    random = rng.random
+    n += 0.0  # as choices does: a float product is cheaper
+    return [floor(random() * n) for _ in itertools.repeat(None, k)]
+
+
 def _associativity_sample(rng, t, count: int) -> bool:
-    """(xy)z == x(yz) on count triples of indices drawn in one call, each
-    product read off the table rows t."""
-    draw = iter(rng.choices(range(len(t)), k=3 * count))
+    """(xy)z == x(yz) on count triples of indices drawn in one _draw call,
+    each product read off the table rows t."""
+    draw = iter(_draw(rng, len(t), 3 * count))
     for x, y, z in zip(draw, draw, draw):
         if t[t[x][y]][z] != t[x][t[y][z]]:
             return False
@@ -776,11 +786,12 @@ def _associativity_sample(rng, t, count: int) -> bool:
 
 def _witt_sample(rng, t, inv, ident, count: int) -> bool:
     """The Hall-Witt identity, and the Witt word being trivial (true in a
-    metabelian group), on count triples of indices drawn in one call, over
-    the table rows t, the inverse indices inv and the identity index ident.
+    metabelian group), on count triples of indices drawn in one _draw call,
+    over the table rows t, the inverse indices inv and the identity index
+    ident.
     comm(u, v) = u^-1 v^-1 u v is written out as t[t[inv[u]][inv[v]]][t[u][v]]
     and conj(u, v) = v^-1 u v as t[t[inv[v]][u]][v]."""
-    draw = iter(rng.choices(range(len(t)), k=3 * count))
+    draw = iter(_draw(rng, len(t), 3 * count))
     for x, y, z in zip(draw, draw, draw):
         ix, iy, iz = inv[x], inv[y], inv[z]
         # t1 = conj(comm(comm(x, y^-1), z), y), and t2, t3 cyclically.
@@ -817,7 +828,8 @@ def verify_presentation(g, seed: int = 0) -> dict:
 
     The two sampled checks draw 10^4 associativity triples of 4 products
     each and 2000 Hall-Witt triples of 46 products each, 132,000 products in
-    all.  They draw indices into g.elements(), and read each product off
+    all.  They draw indices into g.elements() through _draw, which gives
+    the values of rng.choices over their range, and read each product off
     rows of a Cayley table of indices, with the inverse and identity indices
     taken once from one index of g.elements().  For a group of order up to
     256, whose table has fewer entries than that, g.mul fills the table

@@ -178,7 +178,9 @@ def _is_ambiguous(f: QuadForm) -> bool:
 
 def _reduce_definite(d: int, a: int, b: int, c: int) -> QuadForm:
     """The reduced form equivalent to (a, b, c) of discriminant d < 0, with
-    -a < b <= a <= c and b >= 0 when a = c (Cohen, Alg. 5.4.2)."""
+    -a < b <= a <= c and b >= 0 when a = c (Cohen, Alg. 5.4.2).  Built by
+    tuple.__new__, which makes the same QuadForm as the NamedTuple
+    constructor without its Python-level __new__."""
     if a < 0:
         a, c = -a, -c  # positive definite representative
     while True:
@@ -191,7 +193,7 @@ def _reduce_definite(d: int, a: int, b: int, c: int) -> QuadForm:
         a, b, c = c, -b, a
     if b < 0 and a == c:
         b = -b
-    return QuadForm(a, b, c)
+    return tuple.__new__(QuadForm, (a, b, c))
 
 
 def _is_reduced_indef(d: int, f) -> bool:
@@ -461,8 +463,10 @@ def _reduced_definite_forms(d: int) -> list[QuadForm]:
 
     A reduced (a, b, c) has -a < b <= a <= c, so 3 a^2 <= -d, and b is the
     root of b^2 = d (mod 4a) in its class modulo 2a that lies in (-a, a];
-    it is kept when c > a, or c = a and b >= 0.
+    it is kept when c > a, or c = a and b >= 0.  The forms are built by
+    tuple.__new__, as in _reduce_definite.
     """
+    new = tuple.__new__
     out = []
     for a, bs in _roots_mod_4a(d, isqrt(-d // 3)):
         a2, a4 = 2 * a, 4 * a
@@ -471,7 +475,7 @@ def _reduced_definite_forms(d: int) -> list[QuadForm]:
         for b in bs:
             c = (b * b - d) // a4
             if c > a or (c == a and b >= 0):
-                out.append(QuadForm(a, b, c))
+                out.append(new(QuadForm, (a, b, c)))
     return out
 
 

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 
-from .arith import is_fundamental
+from .arith import is_fundamental, prime_discriminants
 from .errors import InvalidArgument, QuadTowerError
-from .genus import characters
+from .genus import _characters
 from .pgroup import (
     MAX_ORDER_LOG2,
     PGroup,
@@ -42,10 +42,10 @@ from .quadforms import (
     DEFAULT_ENUM_BOUND,
     AbelianType,
     QuadForm,
+    _reduce_definite,
     class_group,
     compose,
     principal_form,
-    reduce_form,
 )
 from .tower import (
     Check,
@@ -390,7 +390,7 @@ def _presentation_failures(build, *args, seed: int) -> list[str]:
 
 def _group_law_failures(d: int, cls, one, triples) -> list[str]:
     """The failures of the group axioms for Gauss composition on the classes
-    cls of discriminant d, with one the reduced principal form and triples
+    cls of discriminant d < 0, with one the reduced principal form and triples
     the drawn associativity triples as indices into cls.
 
     compose is called for the diagonal, the upper triangle and every pair of
@@ -406,7 +406,7 @@ def _group_law_failures(d: int, cls, one, triples) -> list[str]:
     closed = True
     for i, f in enumerate(cls):
         # The inverse of the class of (a, b, c) is the class of (a, -b, c).
-        fi = reduce_form(QuadForm(f.a, -f.b, f.c))
+        fi = _reduce_definite(d, f.a, -f.b, f.c)
         if compose(f, fi) != one:
             failures.append(f"{d}: {f} has no inverse")
         # compose puts the factor of smaller |a| first, so when |a| differ,
@@ -432,8 +432,9 @@ def _group_law_failures(d: int, cls, one, triples) -> list[str]:
 
 
 def _character_failures(d: int, classes) -> list[str]:
+    parts = prime_discriminants(d)
     return [f"{d}: product != +1 on {c}" for c in classes
-            if math.prod(characters(d, c).values()) != 1]
+            if math.prod(_characters(d, parts, c).values()) != 1]
 
 
 def criterion_oracles(
@@ -465,9 +466,10 @@ def criterion_oracles(
     of equal |a|, and reads the rest of the table off its transpose.  Closure
     reads the table; each inverse is one more compose call; the drawn triples
     are table lookups when d is closed and compose calls when it is not.  The
-    genus survey takes every character of a class from one characters call,
-    and for a real d it takes a form f of each wide class and -f, which is
-    in the other narrow class of that wide class when the unit has norm +1.
+    genus survey factors each d once and takes every character of a class
+    from one value search, and for a real d it takes a form f of each wide
+    class and -f, which is in the other narrow class of that wide class when
+    the unit has norm +1.
     """
     res = CriterionResult(10, "oracle-suite")
     names = []

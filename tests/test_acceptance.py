@@ -167,6 +167,8 @@ def test_criterion_oracles_bench_call_draws_pinned(monkeypatch, seed):
     # A draw made in a forked child never reaches this process's recorder,
     # so the call runs on one CPU.  The triples are drawn before the
     # presentations run, so each kind of draw is recorded in its own list.
+    # The samplers draw through pgroup._draw, whose values are those of
+    # Random.choices over range(n).
     samples, triples = [], []
 
     class Recording(random.Random):
@@ -174,12 +176,14 @@ def test_criterion_oracles_bench_call_draws_pinned(monkeypatch, seed):
             triples.append(super().choice(seq))
             return triples[-1]
 
-        def choices(self, population, weights=None, *, cum_weights=None, k=1):
-            samples.append(super().choices(population, weights, cum_weights=cum_weights, k=k))
-            return samples[-1]
+    draw = pgroup._draw
 
-    for module in (pgroup, verify):
-        monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=Recording))
+    def recording_draw(rng, n, k):
+        samples.append(draw(rng, n, k))
+        return samples[-1]
+
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=Recording))
+    monkeypatch.setattr(pgroup, "_draw", recording_draw)
     monkeypatch.setattr(tower, "_usable_cpus", lambda: 1)
     result = criterion_oracles(grid=1, disc_limit=800, character_limit=300, seed=seed)
     assert [c.name for c in result.checks] == [

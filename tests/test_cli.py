@@ -353,15 +353,29 @@ def test_usage_error_exit1(capsys):
     assert exc.value.code == 1
 
 
-def _fresh_run(*argv):
-    """The stdout of `python -m quadtower.cli argv` in a new process."""
+def _cli_process(*argv, **kwargs):
+    """`python -m quadtower.cli argv` run in a new process on these sources."""
     src = str(Path(quadtower.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadtower.cli", *argv],
-        capture_output=True, env=env, check=True,
-    )
-    return proc.stdout.decode()
+    return subprocess.run([sys.executable, "-m", "quadtower.cli", *argv], env=env, **kwargs)
+
+
+def _fresh_run(*argv):
+    """The stdout of `python -m quadtower.cli argv` in a new process."""
+    return _cli_process(*argv, capture_output=True, check=True).stdout.decode()
+
+
+def test_closed_stdout_exit1():
+    # A reader that closes stdout early (quadtower ... | head -c 10) ends
+    # the run with exit code 1 and nothing on stderr, not a traceback.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process("--format", "json", "crosscheck", "-2244",
+                            stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_parser_reuse_matches_fresh_runs(capsys):

@@ -1,6 +1,7 @@
 """Genus characters, square 2-torsion, and principality checks."""
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from quadtower.errors import (
     NotImaginary,
     PreconditionViolated,
 )
-from quadtower import quadforms
+from quadtower import arith, quadforms, tower
 from quadtower.genus import characters, chi_eval, lemma1_check, square_2torsion
 from quadtower.quadforms import (
     QuadForm,
@@ -29,7 +30,7 @@ from quadtower.quadforms import (
     reduce_form,
 )
 from quadtower.tower import scan
-from quadtower.verify import FIELD_TABLE
+from quadtower.verify import FIELD_TABLE, criterion_oracles
 
 
 def test_chi_trivial_on_principal_class():
@@ -159,6 +160,32 @@ def test_square_2torsion_composes_nothing(monkeypatch):
             patched.append(name)
     assert {"quadtower", "quadtower.quadforms", "quadtower.tower"} <= set(patched)
     assert [square_2torsion(g) for g in groups] == expected
+
+
+def test_each_discriminant_is_factored_once(monkeypatch):
+    # square_2torsion and criterion 10's genus survey factor d into its
+    # prime discriminants once, not once per class.
+    calls = Counter()
+    real = arith.prime_discriminants
+
+    def counting(d):
+        calls[d] += 1
+        return real(d)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quadtower" and getattr(module, "prime_discriminants", None) is real:
+            monkeypatch.setattr(module, "prime_discriminants", counting)
+    groups = [class_group(row[0]) for row in FIELD_TABLE]
+    for group in groups:
+        assert len(square_2torsion(group)) == 2, group.disc
+    assert calls == Counter(group.disc for group in groups)
+
+    calls.clear()
+    # Units run in forked children would count out of sight.
+    monkeypatch.setattr(tower, "_usable_cpus", lambda: 1)
+    assert criterion_oracles(grid=1, disc_limit=800, character_limit=300).passed
+    survey = [d for d in range(-3, -301, -1) if is_fundamental(d)]
+    assert calls == Counter(survey + [-2244, -2580, -5412, 204, 561])
 
 
 def test_square_2torsion_refuses_a_real_class_group():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 from pathlib import Path
 
@@ -435,6 +436,17 @@ def test_distinguish_small_groups():
     for n in (2, 3):
         assert distinguish(gamma4r(n), gamma(n, 1, 1)) == "NotDistinguished"
         assert fingerprint(gamma4r(n)) == fingerprint(gamma(n, 1, 1))
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 256, 1024])
+def test_draw_matches_choices(n):
+    # The samplers' draws are those of rng.choices over range(n), so the
+    # pinned oracle digests hold for every seed.
+    for seed in range(6):
+        a, b = random.Random(seed), random.Random(seed)
+        for k in (0, 1, 3, 3000):
+            assert pgroup._draw(a, n, k) == b.choices(range(n), k=k), (seed, k)
+        assert a.random() == b.random()
 
 
 def test_verify_presentation_clean():

@@ -697,6 +697,18 @@ def test_quadform_tuple_contract():
         f.transform(1, 1, 1, 1)
 
 
+def test_definite_kernels_build_quadforms():
+    # The definite kernels build forms with tuple.__new__; a plain tuple
+    # would compare equal to the QuadForm but print as (a, b, c) in text.
+    d = -2244
+    classes = class_group(d).classes
+    f, g = classes[1], classes[-1]
+    built = [*classes, compose(f, g), compose(g, f), form_pow(f, 5),
+             reduce_form(QuadForm(15, 49, 41)), reduce_form(QuadForm(-3, 2, -5))]
+    assert [type(x) for x in built] == [QuadForm] * len(built)
+    assert repr(reduce_form(QuadForm(15, 49, 41))) == "QuadForm(a=3, b=-1, c=5)"
+
+
 # ---------------------------------------------------------------------------
 # The a-major square-root kernel against double loops
 # ---------------------------------------------------------------------------
